@@ -14,15 +14,17 @@ canonical order, so runs are reproducible regardless of the worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import comb, log
+from math import ceil, comb, log
 
 from .binomials import bound_value, gbinom, inv_gbinom, kk_bound, check_gap_monotonicity
 from .constructions import CONSTRUCTIONS, a2_family, build, l_family
@@ -66,15 +68,17 @@ class BudgetExceeded(RuntimeError):
 # instance spaces
 # ---------------------------------------------------------------------------
 
-SPACE_KINDS = (
-    "all-families",
-    "all-shifted-families",
-    "all-cross-pairs",
-    "all-graphs",
-    "all-up-sets",
-    "constructions-grid",
-    "random-sample",
-)
+# Each kind's required parameters.  All are integers except the grid's
+# name, which is "params" or a key of CONSTRUCTIONS.
+SPACE_KINDS = {
+    "all-families": ("n", "k"),
+    "all-shifted-families": ("n", "k"),
+    "all-cross-pairs": ("n", "a", "b"),
+    "all-graphs": ("n",),
+    "all-up-sets": ("n",),
+    "constructions-grid": ("name",),
+    "random-sample": ("n", "count"),
+}
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,16 @@ class InstanceSpace:
     @classmethod
     def make(cls, kind: str, **params) -> "InstanceSpace":
         if kind not in SPACE_KINDS:
-            raise ValueError(f"unknown space kind {kind!r}; know {SPACE_KINDS}")
+            raise ValueError(f"unknown space kind {kind!r}; know {tuple(SPACE_KINDS)}")
+        for key in SPACE_KINDS[kind]:
+            val = params.get(key)
+            if key == "name":
+                if val != "params" and val not in CONSTRUCTIONS:
+                    raise ValueError(
+                        f"{kind} needs name=params or one of {sorted(CONSTRUCTIONS)}"
+                    )
+            elif not isinstance(val, int):
+                raise ValueError(f"{kind} needs an integer {key}=...")
         return cls(kind, tuple(sorted(params.items())))
 
     def get(self, name: str, default=None):
@@ -170,10 +183,8 @@ def iter_space(space: InstanceSpace, budget: int | None = None):
     """Deterministic instance stream; raises BudgetExceeded past the budget."""
     budget = _effective_budget(budget)
     known = space_size(space)
-    if known is not None and known > budget:
-        raise BudgetExceeded(
-            f"{space.describe()} holds {known} instances; budget {budget}"
-        )
+    if known is not None:
+        _refuse_over_budget(space, known, budget)
     count = 0
     for inst in _raw_iter(space):
         count += 1
@@ -189,6 +200,12 @@ def _effective_budget(budget: int | None) -> int:
         return budget
     env = os.environ.get("SHADOWLAB_BUDGET")
     return int(env) if env else DEFAULT_BUDGET
+
+
+def _refuse_over_budget(space: InstanceSpace, total: int, budget: int | None) -> None:
+    eff = _effective_budget(budget)
+    if total > eff:
+        raise BudgetExceeded(f"{space.describe()} holds {total} instances; budget {eff}")
 
 
 def _raw_iter(space: InstanceSpace):
@@ -213,8 +230,6 @@ def _raw_iter(space: InstanceSpace):
             yield _sample_family(n, k, seed, idx)
     elif kind == "constructions-grid":
         name = space.get("name")
-        if name is None:
-            raise ValueError("constructions-grid needs name=...")
         for params in _grid_points(space):
             if name == "params":
                 yield params, None
@@ -252,34 +267,53 @@ def _sample_family(n: int, k: int | None, seed: int, idx: int) -> Family:
     return _mask_family(n, k, words, mask)
 
 
-def _iter_shifted(n: int, k: int):
-    """Down-sets of the shifting partial order on the k-level, by DFS.
+def _iter_down_sets(pred: list[int]):
+    """Every mask closed under pred (bit i set => bits pred[i] set), ascending.
 
-    Words are processed in colex order; a word may join only once all its
+    pred[i] may hold only bits below i.  An explicit-stack DFS decides bits
+    from the highest down, "exclude" before "include": it follows the
+    exclude branch at once and stacks the include branch, so masks come out
+    in ascending order as they are found.  A bit some included bit requires
+    cannot be excluded, so every branch ends in a mask.
+    """
+    stack = [(len(pred) - 1, 0, 0)]   # (bit to decide, mask, required bits)
+    while stack:
+        i, mask, required = stack.pop()
+        while i >= 0:
+            bit = 1 << i
+            if required & bit:
+                mask |= bit
+                required |= pred[i]
+            else:
+                stack.append((i - 1, mask | bit, required | pred[i]))
+            i -= 1
+        yield mask
+
+
+def _iter_shifted(n: int, k: int):
+    """Down-sets of the shifting partial order on the k-level.
+
+    Words are indexed in colex order; a word may join only once all its
     predecessors have, which enumerates exactly the shifted families.
     """
     words = level_words(n, k)
     elems = [elements_of(w) for w in words]
-    m = len(words)
-    pred_mask = [0] * m
-    for i in range(m):
+    pred_mask = [0] * len(words)
+    for i in range(len(words)):
         for j in range(i):
             if all(x <= y for x, y in zip(elems[j], elems[i])):
                 pred_mask[i] |= 1 << j
-    out = []
-
-    def rec(i: int, mask: int):
-        if i == m:
-            out.append(mask)
-            return
-        rec(i + 1, mask)
-        if pred_mask[i] & mask == pred_mask[i]:
-            rec(i + 1, mask | (1 << i))
-
-    rec(0, 0)
-    out.sort()
-    for mask in out:
+    for mask in _iter_down_sets(pred_mask):
         yield _mask_family(n, k, words, mask)
+
+
+def _cross_meets(n: int, a: int, b: int) -> list[int]:
+    """For each a-set (colex index), the mask of the b-sets it meets."""
+    words_b = level_words(n, b)
+    return [
+        sum(1 << j for j, wb in enumerate(words_b) if wa & wb)
+        for wa in level_words(n, a)
+    ]
 
 
 def _iter_cross_pairs(n: int, a: int, b: int):
@@ -290,13 +324,7 @@ def _iter_cross_pairs(n: int, a: int, b: int):
     """
     words_a = level_words(n, a)
     words_b = level_words(n, b)
-    meets = []
-    for wa in words_a:
-        mask = 0
-        for j, wb in enumerate(words_b):
-            if wa & wb:
-                mask |= 1 << j
-        meets.append(mask)
+    meets = _cross_meets(n, a, b)
     full_b = (1 << len(words_b)) - 1
     for amask in range(1 << len(words_a)):
         bmax = full_b
@@ -313,16 +341,11 @@ def _iter_cross_pairs(n: int, a: int, b: int):
             if sub == bmax:
                 break
             sub = (sub - bmax) & bmax
-    return
-
-
-def graph_edge_words(n: int) -> tuple[int, ...]:
-    return level_words(n, 2)
 
 
 def _iter_graphs(n: int):
     """Edge subsets of K_n with no isolated vertex, edge-mask ascending."""
-    edges = graph_edge_words(n)
+    edges = level_words(n, 2)
     full = (1 << n) - 1
     for mask in range(1 << len(edges)):
         cover = 0
@@ -336,35 +359,21 @@ def _iter_graphs(n: int):
 
 
 def _iter_up_sets(n: int):
-    """All up-closed families in 2^[n], by DFS over sets in descending size.
+    """All up-closed families in 2^[n], sets indexed in descending size.
 
     A set may join only if all its supersets already joined.
     """
     order = sorted(range(1 << n), key=lambda w: (-w.bit_count(), w))
     pos = {w: i for i, w in enumerate(order)}
-    m = len(order)
-    sup_mask = [0] * m
+    sup_mask = [0] * len(order)
     for i, w in enumerate(order):
         free = ((1 << n) - 1) ^ w
-        f = free
-        while f:
-            low = f & -f
+        while free:
+            low = free & -free
             sup_mask[i] |= 1 << pos[w | low]
-            f ^= low
-    collected = []
-
-    def rec(i: int, mask: int):
-        if i == m:
-            collected.append(mask)
-            return
-        rec(i + 1, mask)
-        if sup_mask[i] & mask == sup_mask[i]:
-            rec(i + 1, mask | (1 << i))
-
-    rec(0, 0)
-    collected.sort()
-    for mask in collected:
-        yield Family(n, (order[i] for i in range(m) if mask >> i & 1))
+            free ^= low
+    for mask in _iter_down_sets(sup_mask):
+        yield Family(n, (order[i] for i in range(len(order)) if mask >> i & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +400,7 @@ class Report:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "space": self.space,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "counterexamples": self.counterexamples,
-            "equality_witnesses": self.equality_witnesses,
-            "seconds": self.seconds,
-            "violations": self.violations,
-            "equalities": self.equalities,
-            "exploratory": self.exploratory,
-            "expected_boundary": self.expected_boundary,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -432,17 +428,6 @@ def reverify(report: Report | dict, claim_params: dict | None = None) -> bool:
             embedded[key] = _parse_value(val)
     if claim_params:
         embedded.update(claim_params)
-    if claim_id == "cross-diversity-stability":
-        space = InstanceSpace.parse(body["space"])
-        n, a, b = space.get("n"), space.get("a"), space.get("b")
-        u, v = int(embedded["u"]), int(embedded["v"])
-        cap_a = gbinom(n - u - 1, n - a - 1)
-        cap_b = gbinom(n - v - 1, n - b - 1)
-        for entry in body["counterexamples"]:
-            fam_a, fam_b = _instance_from_payload(entry["instance"])
-            if _stability_conclusion_failure(fam_a, fam_b, cap_a, cap_b) is None:
-                return False
-        return True
     spec = CLAIMS[claim_id]
     space = InstanceSpace.parse(body["space"])
     merged = _merged_params(spec, embedded)
@@ -495,7 +480,7 @@ class ClaimSpec:
     defaults: tuple[tuple[str, object], ...] = ()
     pairs_from_families: bool = False
     exploratory: object = None   # None | True | callable(space, params) -> bool
-    finalize: object = None      # callable(report) -> None
+    finalize: object = None      # callable(report, space, params) -> None
 
     def prepare(self, space: InstanceSpace, params: dict):
         return _PREPARE[self.id](space, params)
@@ -524,25 +509,10 @@ def _merged_params(spec: ClaimSpec, params: dict | None) -> dict:
     return merged
 
 
-def _colex_shadow_table(n: int, k: int) -> list[int]:
-    """|immediate shadow| of the colex segment of each size in the k-level."""
-    words = level_words(n, k)
+def _member_shadow_masks(n: int, k: int):
+    """The immediate shadow of each k-set in colex order, as a mask over the
+    colex indices of the (k-1)-level."""
     below = {w: i for i, w in enumerate(level_words(n, k - 1))}
-    table = [0]
-    acc = 0
-    for w in words:
-        ww = w
-        while ww:
-            low = ww & -ww
-            acc |= 1 << below[w ^ low]
-            ww ^= low
-        table.append(acc.bit_count())
-    return table
-
-
-def _member_shadow_masks(n: int, k: int) -> list[int]:
-    below = {w: i for i, w in enumerate(level_words(n, k - 1))}
-    masks = []
     for w in level_words(n, k):
         m = 0
         ww = w
@@ -550,8 +520,49 @@ def _member_shadow_masks(n: int, k: int) -> list[int]:
             low = ww & -ww
             m |= 1 << below[w ^ low]
             ww ^= low
-        masks.append(m)
-    return masks
+        yield m
+
+
+@functools.lru_cache(maxsize=None)
+def _colex_shadow_table(n: int, k: int) -> tuple[int, ...]:
+    """|immediate shadow| of the colex segment of each size in the k-level."""
+    segments = itertools.accumulate(_member_shadow_masks(n, k), operator.or_)
+    return (0, *(acc.bit_count() for acc in segments))
+
+
+@functools.lru_cache(maxsize=None)
+def _shadow_verdict(mode: str, n: int, k: int, size: int) -> tuple[int, bool] | None:
+    """What a k-uniform family of `size` members over [n] must satisfy under
+    the colex or real shadow bound: None when the claim skips it, else the
+    least integer shadow size the bound allows and whether meeting it is an
+    equality.  The colex bound is an integer; the real bound B gives
+    ceil(B - 1e-9), an equality when that is within 1e-9 of B."""
+    if k < 1 or (mode == "real" and size == 0):
+        return None
+    if mode == "colex":
+        return _colex_shadow_table(n, k)[size], True
+    bound = kk_bound(size, k)
+    floor = ceil(bound - 1e-9)
+    return floor, abs(floor - bound) <= 1e-9
+
+
+def _shadow_check(mode: str):
+    def check(inst):
+        fam = inst[1] if isinstance(inst, tuple) else inst
+        if fam is None or fam.k is None:
+            return "skip", None
+        verdict = _shadow_verdict(mode, fam.n, fam.k, len(fam))
+        if verdict is None:
+            return "skip", None
+        floor, tight = verdict
+        sh = len(shadow(fam, fam.k - 1))
+        if sh < floor:
+            return "violation", f"|shadow|={sh} < {floor}, the {mode} bound rounded up"
+        if sh == floor and tight:
+            return "equality", None
+        return "ok", None
+
+    return check
 
 
 @_claim(
@@ -560,24 +571,7 @@ def _member_shadow_masks(n: int, k: int) -> list[int]:
     spaces=("all-families", "all-shifted-families", "random-sample", "constructions-grid"),
 )
 def _prep_shadow_colex(space, params):
-    tables: dict[tuple[int, int], list[int]] = {}
-
-    def check(inst):
-        fam = inst[1] if isinstance(inst, tuple) else inst
-        if fam is None or fam.k is None or fam.k < 1:
-            return "skip", None
-        key = (fam.n, fam.k)
-        if key not in tables:
-            tables[key] = _colex_shadow_table(*key)
-        bound = tables[key][len(fam)]
-        sh = len(shadow(fam, fam.k - 1))
-        if sh < bound:
-            return "violation", f"|shadow|={sh} < colex bound {bound}"
-        if sh == bound:
-            return "equality", None
-        return "ok", None
-
-    return check
+    return _shadow_check("colex")
 
 
 @_claim(
@@ -586,24 +580,7 @@ def _prep_shadow_colex(space, params):
     spaces=("all-families", "all-shifted-families", "random-sample", "constructions-grid"),
 )
 def _prep_shadow_real(space, params):
-    cache: dict[tuple[int, int], float] = {}
-
-    def check(inst):
-        fam = inst[1] if isinstance(inst, tuple) else inst
-        if fam is None or fam.k is None or fam.k < 1 or len(fam) == 0:
-            return "skip", None
-        key = (len(fam), fam.k)
-        if key not in cache:
-            cache[key] = kk_bound(*key)
-        bound = cache[key]
-        sh = len(shadow(fam, fam.k - 1))
-        if sh < bound - 1e-9:
-            return "violation", f"|shadow|={sh} < real bound {bound:.9f}"
-        if abs(sh - bound) <= 1e-9:
-            return "equality", None
-        return "ok", None
-
-    return check
+    return _shadow_check("real")
 
 
 @_claim(
@@ -743,6 +720,86 @@ def _prep_cross_shift(space, params):
             return "violation", "sizes changed along the shift"
         if fam_a != lex_segment(n, size_a, a) or fam_b != lex_segment(n, size_b, b):
             return "violation", "fixed point is not a pair of lex segments"
+        return "ok", None
+
+    return check
+
+
+def _stability_thresholds(space: InstanceSpace, params: dict):
+    """(threshold_a, threshold_b, cap_a, cap_b) of the cross-pair stability
+    claim: the size thresholds of its hypothesis and the diversity caps of
+    its conclusion."""
+    n, a, b = space.get("n"), space.get("a"), space.get("b")
+    u, v = int(params["u"]), int(params["v"])
+    if u < 3 or v < 3:
+        raise ValueError("need u >= 3 and v >= 3")
+    if n < a + b:
+        raise ValueError("need n >= a+b")
+    cap_a = gbinom(n - u - 1, n - a - 1)
+    cap_b = gbinom(n - v - 1, n - b - 1)
+    thr_a = gbinom(n - 1, a - 1) - gbinom(n - v - 1, a - 1) + cap_a
+    thr_b = gbinom(n - 1, b - 1) - gbinom(n - u - 1, b - 1) + cap_b
+    return thr_a, thr_b, cap_a, cap_b
+
+
+def _stability_finalize(report: Report, space, params) -> None:
+    """Replay the boundary pair built from the u=v=2 relaxation and record it
+    as expected-boundary, never as a counterexample."""
+    n, a, b = space.get("n"), space.get("a"), space.get("b")
+    thr_a, thr_b, cap_a, cap_b = _stability_thresholds(space, params)
+    if report.exploratory:
+        report.notes["outside_theorem_range"] = True
+    boundary_a = l_family(n, a, 2, 2)
+    boundary_b = l_family(n, b, 2, 2)
+    gamma_a = diversity(boundary_a).value
+    gamma_b = diversity(boundary_b).value
+    report.expected_boundary.append(
+        {
+            "pair": "size-threshold relaxation at u'=v'=2",
+            "size_a": len(boundary_a),
+            "size_b": len(boundary_b),
+            "meets_size_thresholds": len(boundary_a) >= thr_a and len(boundary_b) >= thr_b,
+            "gamma_a": gamma_a,
+            "gamma_b": gamma_b,
+            "gamma_cap_a": cap_a,
+            "gamma_cap_b": cap_b,
+            "violates_diversity_conclusion": gamma_a >= cap_a or gamma_b >= cap_b,
+        }
+    )
+
+
+@_claim(
+    "cross-diversity-stability",
+    "a cross-intersecting pair at or above both size thresholds, above at "
+    "least one, has both diversities below their caps and one common "
+    "unique largest-degree element",
+    spaces=("all-cross-pairs",),
+    defaults=(("u", 3), ("v", 3)),
+    exploratory=lambda space, params: not (
+        int(params["u"]) <= space.get("a") and int(params["v"]) <= space.get("b")
+    ),
+    finalize=_stability_finalize,
+)
+def _prep_cross_stability(space, params):
+    thr_a, thr_b, cap_a, cap_b = _stability_thresholds(space, params)
+
+    def check(inst):
+        fam_a, fam_b = inst
+        size_a, size_b = len(fam_a), len(fam_b)
+        if size_a < thr_a or size_b < thr_b or (size_a == thr_a and size_b == thr_b):
+            return "skip", None
+        da = diversity(fam_a).value
+        db = diversity(fam_b).value
+        if da >= cap_a:
+            return "violation", f"diversity(A)={da} >= {cap_a}"
+        if db >= cap_b:
+            return "violation", f"diversity(B)={db} >= {cap_b}"
+        degs_a = degree_vector(fam_a)
+        degs_b = degree_vector(fam_b)
+        if degs_a.count(max(degs_a)) != 1 or degs_b.count(max(degs_b)) != 1:
+            return "violation", "largest-degree element is not unique"
+        if degs_a.index(max(degs_a)) != degs_b.index(max(degs_b)):
+            return "violation", "largest-degree elements differ between the sides"
         return "ok", None
 
     return check
@@ -1193,7 +1250,7 @@ def _prep_influence_identity(space, params):
     return check
 
 
-def _kalai_finalize(report: Report) -> None:
+def _kalai_finalize(report: Report, space, params) -> None:
     seq = report.notes.get("max_influence", {})
     pairs = sorted((int(n), v) for n, v in seq.items())
     fitted = [v * n / log(n) for n, v in pairs if n >= 5]
@@ -1296,19 +1353,21 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
 
     The shadow of a family is the union of per-member shadow masks, so a
     mask's shadow splits as (high-table OR low-table); one pass covers all
-    2^C(n,k) subsets.  Mirrors the per-instance checkers bit for bit.
+    2^C(n,k) subsets.  The verdict per family size comes from the checkers'
+    own _shadow_verdict, and counterexample details from the check itself.
     """
     n, k = space.get("n"), space.get("k")
     words = level_words(n, k)
     m_words = len(words)
     total = 1 << m_words
-    eff = _effective_budget(budget)
-    if total > eff:
-        raise BudgetExceeded(f"{space.describe()} holds {total} instances; budget {eff}")
-    member_masks = _member_shadow_masks(n, k)
-    colex_table = _colex_shadow_table(n, k)
-    if mode == "real":
-        real_table = [0.0] + [kk_bound(size, k) for size in range(1, m_words + 1)]
+    _refuse_over_budget(space, total, budget)
+    member_masks = list(_member_shadow_masks(n, k))
+    verdicts = [_shadow_verdict(mode, n, k, size) for size in range(m_words + 1)]
+    # Skips depend on the size alone, so they are counted here, and a
+    # skipped size gets floor -1 and equality size -1, which no shadow meets.
+    skipped = sum(comb(m_words, size) for size, v in enumerate(verdicts) if v is None)
+    floors = [v[0] if v else -1 for v in verdicts]
+    equal_at = [v[0] if v and v[1] else -1 for v in verdicts]
 
     split = m_words // 2
     low_tab = [0] * (1 << split)
@@ -1322,49 +1381,33 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
             split + (mask & -mask).bit_length() - 1
         ]
 
-    checked = skipped = violations = equalities = 0
+    violations = equalities = 0
     counterexamples: list = []
     witnesses: list = []
+    check = _shadow_check(mode)
     low_count = 1 << split
+    low_sizes = [lo.bit_count() for lo in range(low_count)]
     for hi in range(1 << (m_words - split)):
         hmask = high_tab[hi]
-        hsize = hi.bit_count()
+        floor_of = floors[hi.bit_count():]
+        equal_of = equal_at[hi.bit_count():]
         for lo in range(low_count):
-            size = hsize + lo.bit_count()
-            if mode == "real" and size == 0:
-                skipped += 1
-                continue
             sh = (hmask | low_tab[lo]).bit_count()
-            checked += 1
-            if mode == "colex":
-                bound = colex_table[size]
-                if sh < bound:
-                    flag, equal = True, False
-                else:
-                    flag, equal = False, sh == bound
-            else:
-                bound = real_table[size]
-                if sh < bound - 1e-9:
-                    flag, equal = True, False
-                else:
-                    flag, equal = False, abs(sh - bound) <= 1e-9
-            if flag:
+            size = low_sizes[lo]
+            if sh < floor_of[size]:
                 violations += 1
                 if len(counterexamples) < max_recorded:
                     fam = _mask_family(n, k, words, (hi << split) | lo)
                     counterexamples.append(
-                        {
-                            "instance": _instance_payload(fam),
-                            "detail": f"|shadow|={sh} < bound {bound}",
-                        }
+                        {"instance": _instance_payload(fam), "detail": check(fam)[1]}
                     )
-            elif equal:
+            elif sh == equal_of[size]:
                 equalities += 1
                 if len(witnesses) < max_recorded:
                     fam = _mask_family(n, k, words, (hi << split) | lo)
                     witnesses.append(_instance_payload(fam))
     return {
-        "checked": checked, "skipped": skipped,
+        "checked": total - skipped, "skipped": skipped,
         "violations": violations, "equalities": equalities,
         "counterexamples": counterexamples, "equality_witnesses": witnesses,
     }
@@ -1382,9 +1425,7 @@ def _graph_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
     edges = level_words(n, 2)
     num_edges = len(edges)
     total = space_size(space)
-    eff = _effective_budget(budget)
-    if total > eff:
-        raise BudgetExceeded(f"{space.describe()} holds {total} instances; budget {eff}")
+    _refuse_over_budget(space, total, budget)
 
     all_masks = np.arange(1 << num_edges, dtype=np.int64)
     cover = np.zeros(all_masks.size, dtype=np.int32)
@@ -1483,10 +1524,70 @@ def _graph_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
     return tallies
 
 
+def _cross_stability_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
+    """Pruned scan of the cross-pair stability claim.
+
+    Enumerates A-sides at or above their size threshold, computes the
+    unique maximal compatible B-side, and descends into B-subsets only when
+    the B threshold is reachable.  Pairs sitting exactly at both thresholds
+    are counted as skipped without building them; every other pair goes to
+    the claim's check.  Pruned pairs are not counted.  The budget counts
+    A-sides.
+    """
+    check = _PREPARE["cross-diversity-stability"](space, params)
+    thr_a, thr_b, _, _ = _stability_thresholds(space, params)
+    n, a, b = space.get("n"), space.get("a"), space.get("b")
+    words_a = level_words(n, a)
+    words_b = level_words(n, b)
+    la, lb = len(words_a), len(words_b)
+    notes = params["_notes"]
+    notes["threshold_a"] = thr_a
+    notes["threshold_b"] = thr_b
+    feasible = thr_a <= la and thr_b <= lb
+    if not feasible:
+        notes["vacuous"] = True
+    eff = _effective_budget(budget)
+    at_thresholds = 0
+
+    def pairs():
+        nonlocal at_thresholds
+        meets = _cross_meets(n, a, b)
+        enumerated = 0
+        for size_a in range(thr_a, la + 1):
+            for combo in itertools.combinations(range(la), size_a):
+                enumerated += 1
+                if enumerated > eff:
+                    raise BudgetExceeded(f"cross-pair scan exceeded budget {eff}")
+                bmax = (1 << lb) - 1
+                for idx in combo:
+                    bmax &= meets[idx]
+                    if bmax == 0:
+                        break
+                room = bmax.bit_count()
+                if room < thr_b:
+                    continue
+                least_b = thr_b
+                if size_a == thr_a:
+                    at_thresholds += comb(room, thr_b)
+                    least_b += 1
+                if least_b > room:
+                    continue
+                bbits = [jdx for jdx in range(lb) if bmax >> jdx & 1]
+                fam_a = Family(n, (words_a[i] for i in combo), k=a)
+                for size_b in range(least_b, room + 1):
+                    for bcombo in itertools.combinations(bbits, size_b):
+                        yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
+
+    tallies = _check_stream(check, pairs() if feasible else (), max_recorded)
+    tallies["skipped"] += at_thresholds
+    return tallies
+
+
 KERNELS = {
     ("graph-avoidance", "all-graphs"): _graph_kernel,
     ("shadow-colex-lower", "all-families"): _shadow_kernel_factory("colex"),
     ("shadow-real-lower", "all-families"): _shadow_kernel_factory("real"),
+    ("cross-diversity-stability", "all-cross-pairs"): _cross_stability_kernel,
 }
 
 
@@ -1504,8 +1605,6 @@ def verify(
     max_recorded: int = MAX_RECORDED,
 ) -> Report:
     """Check one claim over one instance space and return the Report."""
-    if claim_id == "cross-diversity-stability":
-        return _verify_cross_pair_claim(space, params, jobs, budget, max_recorded)
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; know {sorted(CLAIMS)}")
     spec = CLAIMS[claim_id]
@@ -1537,7 +1636,7 @@ def verify(
     elif callable(spec.exploratory):
         report.exploratory = bool(spec.exploratory(space, merged))
     if spec.finalize is not None:
-        spec.finalize(report)
+        spec.finalize(report, space, merged)
     report.seconds = round(time.perf_counter() - t0, 6)
     return report
 
@@ -1563,15 +1662,20 @@ def _instance_stream(spec: ClaimSpec, space: InstanceSpace, budget):
 
 
 def _scan_block(spec, space, params, block, budget, max_recorded) -> dict:
-    check = spec.prepare(space, params)
-    tallies = {
-        "checked": 0, "skipped": 0, "violations": 0, "equalities": 0,
-        "counterexamples": [], "equality_witnesses": [],
-    }
     stream = _instance_stream(spec, space, budget)
     if block is not None:
         lo, hi = block
         stream = itertools.islice(stream, lo, hi)
+    return _check_stream(spec.prepare(space, params), stream, max_recorded)
+
+
+def _check_stream(check, stream, max_recorded: int) -> dict:
+    """Tally the check's verdicts over a stream of instances, recording
+    counterexamples and equality witnesses while the lists have room."""
+    tallies = {
+        "checked": 0, "skipped": 0, "violations": 0, "equalities": 0,
+        "counterexamples": [], "equality_witnesses": [],
+    }
     for inst in stream:
         status, detail = check(inst)
         if status == "skip":
@@ -1603,9 +1707,7 @@ def _parallel_scan(spec, space, params, jobs, budget, max_recorded) -> dict:
     total = space_size(space)
     if total is None:
         return _scan_block(spec, space, params, None, budget, max_recorded)
-    eff = _effective_budget(budget)
-    if total > eff:
-        raise BudgetExceeded(f"{space.describe()} holds {total} instances; budget {eff}")
+    _refuse_over_budget(space, total, budget)
     plain = {k: v for k, v in params.items() if not k.startswith("_")}
     chunk = (total + jobs - 1) // jobs
     blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
@@ -1637,11 +1739,6 @@ def _merge_into(report: Report, tallies: dict, max_recorded: int) -> None:
     report.equality_witnesses = tallies["equality_witnesses"][:max_recorded]
 
 
-# ---------------------------------------------------------------------------
-# the cross-pair stability scan
-# ---------------------------------------------------------------------------
-
-
 def verify_cross_pair_space(
     n: int,
     a: int,
@@ -1651,133 +1748,9 @@ def verify_cross_pair_space(
     budget: int | None = None,
     max_recorded: int = MAX_RECORDED,
 ) -> Report:
-    """Exhaustive scan of the cross-intersecting stability claim.
-
-    Enumerates A-sides at or above their size threshold, computes the
-    unique maximal compatible B-side, and descends into B-subsets only
-    when the threshold is reachable.  Hypotheses require at least one
-    strict size inequality; pairs sitting exactly at both thresholds are
-    counted as skipped.  The boundary pair built from the u=v=2 relaxation
-    is replayed and recorded as expected-boundary, never as a counterexample.
-    """
-    if u < 3 or v < 3:
-        raise ValueError("need u >= 3 and v >= 3")
-    if n < a + b:
-        raise ValueError("need n >= a+b")
-    t0 = time.perf_counter()
-    thr_a = gbinom(n - 1, a - 1) - gbinom(n - v - 1, a - 1) + gbinom(n - u - 1, n - a - 1)
-    thr_b = gbinom(n - 1, b - 1) - gbinom(n - u - 1, b - 1) + gbinom(n - v - 1, n - b - 1)
-    gamma_cap_a = gbinom(n - u - 1, n - a - 1)
-    gamma_cap_b = gbinom(n - v - 1, n - b - 1)
-    report = Report(
-        claim=f"cross-diversity-stability:u={u},v={v}",
-        space=InstanceSpace.make("all-cross-pairs", n=n, a=a, b=b).describe(),
-    )
-    report.notes["threshold_a"] = thr_a
-    report.notes["threshold_b"] = thr_b
-    if not (u <= a and v <= b):
-        report.notes["outside_theorem_range"] = True
-        report.exploratory = True
-
-    words_a = level_words(n, a)
-    words_b = level_words(n, b)
-    la, lb = len(words_a), len(words_b)
-    feasible = thr_a <= la and thr_b <= lb
-    if not feasible:
-        report.notes["vacuous"] = True
-
-    eff = _effective_budget(budget)
-    enumerated = 0
-    if feasible:
-        meets = []
-        for wa in words_a:
-            mask = 0
-            for jdx, wb in enumerate(words_b):
-                if wa & wb:
-                    mask |= 1 << jdx
-            meets.append(mask)
-        for size_a in range(int(thr_a), la + 1):
-            for combo in itertools.combinations(range(la), size_a):
-                enumerated += 1
-                if enumerated > eff:
-                    raise BudgetExceeded(f"cross-pair scan exceeded budget {eff}")
-                bmax = (1 << lb) - 1
-                for idx in combo:
-                    bmax &= meets[idx]
-                    if bmax == 0:
-                        break
-                if bmax.bit_count() < thr_b:
-                    continue
-                bbits = [jdx for jdx in range(lb) if bmax >> jdx & 1]
-                fam_a = None
-                for size_b in range(int(thr_b), len(bbits) + 1):
-                    for bcombo in itertools.combinations(bbits, size_b):
-                        if size_a == thr_a and size_b == thr_b:
-                            report.skipped += 1
-                            continue
-                        if fam_a is None:
-                            fam_a = Family(n, (words_a[i] for i in combo), k=a)
-                        fam_b = Family(n, (words_b[j] for j in bcombo), k=b)
-                        report.checked += 1
-                        bad = _stability_conclusion_failure(
-                            fam_a, fam_b, gamma_cap_a, gamma_cap_b
-                        )
-                        if bad:
-                            report.violations += 1
-                            if len(report.counterexamples) < max_recorded:
-                                report.counterexamples.append(
-                                    {
-                                        "instance": _instance_payload((fam_a, fam_b)),
-                                        "detail": bad,
-                                    }
-                                )
-
-    boundary_a = l_family(n, a, 2, 2)
-    boundary_b = l_family(n, b, 2, 2)
-    report.expected_boundary.append(
-        {
-            "pair": "size-threshold relaxation at u'=v'=2",
-            "size_a": len(boundary_a),
-            "size_b": len(boundary_b),
-            "meets_size_thresholds": len(boundary_a) >= thr_a and len(boundary_b) >= thr_b,
-            "gamma_a": diversity(boundary_a).value,
-            "gamma_b": diversity(boundary_b).value,
-            "gamma_cap_a": gamma_cap_a,
-            "gamma_cap_b": gamma_cap_b,
-            "violates_diversity_conclusion": (
-                diversity(boundary_a).value >= gamma_cap_a
-                or diversity(boundary_b).value >= gamma_cap_b
-            ),
-        }
-    )
-    report.seconds = round(time.perf_counter() - t0, 6)
-    return report
-
-
-def _stability_conclusion_failure(fam_a, fam_b, cap_a, cap_b) -> str | None:
-    da = diversity(fam_a)
-    db = diversity(fam_b)
-    if da.value >= cap_a:
-        return f"diversity(A)={da.value} >= {cap_a}"
-    if db.value >= cap_b:
-        return f"diversity(B)={db.value} >= {cap_b}"
-    degs_a = degree_vector(fam_a)
-    degs_b = degree_vector(fam_b)
-    if degs_a.count(max(degs_a)) != 1 or degs_b.count(max(degs_b)) != 1:
-        return "largest-degree element is not unique"
-    if degs_a.index(max(degs_a)) != degs_b.index(max(degs_b)):
-        return "largest-degree elements differ between the sides"
-    return None
-
-
-def _verify_cross_pair_claim(space, params, jobs, budget, max_recorded) -> Report:
-    if isinstance(space, str):
-        space = InstanceSpace.parse(space)
-    if space.kind != "all-cross-pairs":
-        raise ValueError("cross-diversity-stability runs on all-cross-pairs")
-    p = params or {}
-    return verify_cross_pair_space(
-        space.get("n"), space.get("a"), space.get("b"),
-        int(p.get("u", 3)), int(p.get("v", 3)),
-        budget=budget, max_recorded=max_recorded,
+    """Shorthand for verify("cross-diversity-stability") on all-cross-pairs(n, a, b)."""
+    return verify(
+        "cross-diversity-stability",
+        InstanceSpace.make("all-cross-pairs", n=n, a=a, b=b),
+        params={"u": u, "v": v}, budget=budget, max_recorded=max_recorded,
     )

@@ -130,6 +130,16 @@ def test_usage_error_exit_64():
     assert run_cli(["no-such-command"]).returncode == 64
     assert run_cli(["construct", "L_uv", "--n", "7"]).returncode == 64
     assert run_cli(["verify", "--claim", "x"]).returncode == 64
+    for claim, space in (
+        ("shadow-colex-lower", "all-families:n=6"),
+        ("shadow-colex-lower", "all-shifted-families:n=6"),
+        ("shadow-colex-lower", "random-sample:n=6,k=3"),
+        ("cross-lex-segments", "all-cross-pairs:n=5,a=2"),
+        ("shadow-colex-lower", "constructions-grid:name=nope,n=3..5"),
+    ):
+        out = run_cli(["verify", "--claim", claim, "--space", space])
+        assert out.returncode == 64, (space, out.stderr)
+        assert "Traceback" not in out.stderr
 
 
 def test_io_error_exit_74():

@@ -6,6 +6,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab.constructions import build
 from shadowlab.diversity import s_diversity
@@ -17,6 +19,7 @@ from shadowlab.verifier import (
     BudgetExceeded,
     InstanceSpace,
     Report,
+    _iter_down_sets,
     is_r_wise_t_union,
     iter_space,
     reverify,
@@ -44,6 +47,18 @@ def test_space_parse_and_describe_round_trip():
 def test_space_rejects_unknown_kind():
     with pytest.raises(ValueError):
         InstanceSpace.parse("all-hypergraphs:n=3")
+    # missing or unknown parameter values are refused as well
+    for text in (
+        "all-families:n=6",
+        "all-shifted-families:n=6",
+        "random-sample:n=6,k=3",
+        "all-cross-pairs:n=5,a=2",
+        "constructions-grid:name=nope,n=3..5",
+        "constructions-grid:n=3..5",
+        "all-families:n=6,k=x",
+    ):
+        with pytest.raises(ValueError):
+            InstanceSpace.parse(text)
 
 
 def test_all_families_counts():
@@ -81,6 +96,27 @@ def test_all_graphs_matches_filter():
 def test_all_up_sets_dedekind_count():
     ups = list(iter_space(InstanceSpace.make("all-up-sets", n=4)))
     assert len(ups) == 168
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, (1 << 9) - 1), max_size=9))
+def test_down_set_enumerator_matches_filter(raw):
+    # keep only predecessors below each index, as both callers provide
+    pred = [p & ((1 << i) - 1) for i, p in enumerate(raw)]
+    expected = [
+        mask for mask in range(1 << len(pred))
+        if all(pred[i] & mask == pred[i] for i in range(len(pred)) if mask >> i & 1)
+    ]
+    assert list(_iter_down_sets(pred)) == expected
+
+
+def test_budget_stops_down_set_spaces_early():
+    # M(7) is about 2.4e12 up-sets and the (9,4) level has 683,464 shifted
+    # families; the budget must stop both as they stream
+    with pytest.raises(BudgetExceeded):
+        verify("t-intersecting-max", "all-up-sets:n=7", params={"t": 2}, budget=10)
+    with pytest.raises(BudgetExceeded):
+        verify("shifted-structure", "all-shifted-families:n=9,k=4", budget=1000)
 
 
 def test_cross_pairs_all_cross_intersecting():
@@ -390,8 +426,8 @@ def test_parallel_scan_matches_serial():
 def test_shadow_kernel_matches_generic_scan():
     from shadowlab.verifier import _scan_block
 
-    for claim in ("shadow-colex-lower", "shadow-real-lower"):
-        space = InstanceSpace.make("all-families", n=4, k=2)
+    for claim, k in itertools.product(("shadow-colex-lower", "shadow-real-lower"), (2, 0)):
+        space = InstanceSpace.make("all-families", n=4, k=k)
         via_kernel = verify(claim, space)
         generic = _scan_block(CLAIMS[claim], space, {"_notes": {}}, None, None, 1000)
         assert via_kernel.checked == generic["checked"]
@@ -432,6 +468,7 @@ def test_cross_pair_space_validation():
 
 
 def test_cross_pair_claim_via_engine():
+    assert "cross-diversity-stability" in CLAIMS
     rep = verify(
         "cross-diversity-stability",
         "all-cross-pairs:a=3,b=3,n=6",
@@ -439,3 +476,37 @@ def test_cross_pair_claim_via_engine():
     )
     assert rep.violations == 0
     assert rep.expected_boundary
+
+
+def test_cross_stability_kernel_matches_generic_scan():
+    from shadowlab.verifier import _scan_block
+
+    space = InstanceSpace.make("all-cross-pairs", n=5, a=2, b=2)
+    via_kernel = verify("cross-diversity-stability", space)
+    generic = _scan_block(
+        CLAIMS["cross-diversity-stability"], space, {"u": 3, "v": 3, "_notes": {}},
+        None, None, 1000,
+    )
+    assert via_kernel.exploratory
+    assert via_kernel.checked == generic["checked"] == 45
+    assert via_kernel.violations == generic["violations"] == 45
+    assert sorted(json.dumps(e, sort_keys=True) for e in via_kernel.counterexamples) == sorted(
+        json.dumps(e, sort_keys=True) for e in generic["counterexamples"]
+    )
+    # skipped differs by design: the generic scan counts every one of the
+    # 6,212 pairs, the kernel never reaches the pairs below the thresholds
+    assert generic["checked"] + generic["skipped"] == 6212
+    assert via_kernel.skipped < generic["skipped"]
+
+
+def test_cross_stability_reverify():
+    rep = verify_cross_pair_space(5, 2, 2, u=3, v=3)
+    assert rep.violations == 45
+    assert reverify(rep)
+    body = rep.to_dict()
+    # a pair below both size thresholds cannot violate the claim
+    body["counterexamples"][0] = {
+        "instance": {"A": "n=5 k=2\n1,2\n", "B": "n=5 k=2\n1,3\n"},
+        "detail": "swapped",
+    }
+    assert not reverify(body)
