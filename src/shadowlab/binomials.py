@@ -180,13 +180,18 @@ def bound_value(name: str, **params: Numeric) -> Numeric:
     if name not in BOUND_NAMES:
         raise ValueError(f"unknown bound {name!r}; know {sorted(BOUND_NAMES)}")
     fn, wanted = BOUND_NAMES[name]
+    check_named_params("bound", name, wanted, params)
+    return fn(**params)
+
+
+def check_named_params(what: str, name: str, wanted, params) -> None:
+    """Reject missing or extra parameters of a named bound or construction."""
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing or extra:
         raise ValueError(
-            f"bound {name!r} takes {wanted}; missing {missing}, extra {extra}"
+            f"{what} {name!r} takes {wanted}; missing {missing}, extra {extra}"
         )
-    return fn(**params)
 
 
 def _req(cond: bool, why: str) -> None:

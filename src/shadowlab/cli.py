@@ -3,7 +3,7 @@
 Families travel through stdin/stdout in the shared text format, so the
 subcommands compose into pipelines; verification reports are JSON.  Exit
 codes: 0 success, 2 counterexample found, 3 budget exceeded, 64 usage
-error, 74 I/O or data error.
+error, 70 a runtime certificate failed, 74 I/O or data error.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import sys
 
 from .binomials import BOUND_NAMES, bound_value
 from .constructions import CONSTRUCTIONS, build
-from .diversity import colex_diversity, diversity, influence, kk_diversity, s_diversity, total_influence
-from .families import Family, word_of
+from .diversity import colex_diversity, diversity, influence, kk_diversity, s_diversity
+from .families import Family, InvariantViolation, word_of
 from .shifting import compress_to_colex, daykin_shift, shift_ij, shift_to_shifted
 from .families import shadow as family_shadow
 from .verifier import BudgetExceeded, InstanceSpace, verify
 
 EX_USAGE = 64
+EX_SOFTWARE = 70
 EX_IOERR = 74
 EX_COUNTEREXAMPLE = 2
 EX_BUDGET = 3
@@ -190,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(json.dumps({"i": args.i, "influence": influence(fam, args.i)}))
             else:
                 values = [influence(fam, i) for i in range(1, fam.n + 1)]
-                print(json.dumps({"influences": values, "total": total_influence(fam)}))
+                print(json.dumps({"influences": values, "total": sum(values)}))
             return 0
 
         if args.command == "verify":
@@ -225,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"{exc}\n")
         return EX_IOERR
+    except InvariantViolation as exc:
+        sys.stderr.write(f"invariant violated: {exc}\n")
+        return EX_SOFTWARE
 
     parser.error("no command")
     return EX_USAGE

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .binomials import check_named_params
 from .families import Family, word_of
 from .orders import colex_segment, level_words, lex_segment
 
@@ -199,10 +200,5 @@ def build(spec: ConstructionSpec | str, **params: int) -> Family:
     if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}; know {sorted(CONSTRUCTIONS)}")
     fn, wanted = CONSTRUCTIONS[name]
-    missing = [p for p in wanted if p not in params]
-    extra = [p for p in params if p not in wanted]
-    if missing or extra:
-        raise ValueError(
-            f"construction {name!r} takes {wanted}; missing {missing}, extra {extra}"
-        )
+    check_named_params("construction", name, wanted, params)
     return fn(**{p: int(params[p]) for p in wanted})

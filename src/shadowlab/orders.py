@@ -6,6 +6,7 @@ import enum
 import functools
 import itertools
 from math import comb
+from typing import NamedTuple
 
 from .families import Family, elements_of
 
@@ -65,6 +66,38 @@ def level_words(n: int, k: int) -> tuple[int, ...]:
         ripple = w + low
         w = ripple | (((w ^ ripple) // low) >> 2)
     return tuple(out)
+
+
+class Level(NamedTuple):
+    """The k-subsets of [n] in colex order, with their indices and shadows.
+
+    ``index[w]`` is the colex index of ``w`` (equal to ``colex_rank(w)``), and
+    ``shadows[i]`` is the immediate shadow of ``words[i]`` as the colex
+    indices of its (k-1)-subsets (empty when k = 0).  Index tuples keep the
+    table near the size of the level itself; a bit mask over the (k-1)-level
+    per word would grow with the product of the two levels' sizes.
+    """
+
+    words: tuple[int, ...]
+    index: dict[int, int]
+    shadows: tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def level(n: int, k: int) -> Level:
+    """The cached table of the k-level of [n]."""
+    words = level_words(n, k)
+    below = {w: i for i, w in enumerate(level_words(n, k - 1))}
+    shadows = []
+    for w in words:
+        sub = []
+        ww = w
+        while ww:
+            low = ww & -ww
+            sub.append(below[w ^ low])
+            ww ^= low
+        shadows.append(tuple(sub))
+    return Level(words, {w: i for i, w in enumerate(words)}, tuple(shadows))
 
 
 def colex_rank(word: int) -> int:

@@ -9,6 +9,7 @@ trace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .families import (
@@ -17,10 +18,9 @@ from .families import (
     elements_of,
     is_cross_t_intersecting,
     set_repr,
-    shadow,
     word_of,
 )
-from .orders import colex_rank, colex_segment, level_words
+from .orders import colex_segment, level, level_words
 
 
 @dataclass(frozen=True)
@@ -223,39 +223,45 @@ def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     present = fam.member_set()
     if not present:
         return None
-    top_member = fam.members[-1]
-    best = None
+    members = fam.members
+    top_member = members[-1]
+    # The key's |U| is k - |F & G|, so the least |U| is the most shared.
+    most_shared = -1
+    best_v = best_u = 0
     for g in level_words(fam.n, fam.k):
         if g >= top_member:
             break
         if g in present:
             continue
-        for f in fam.members:
-            if f <= g:
+        for f in members[bisect_right(members, g):]:
+            shared = (f & g).bit_count()
+            if shared < most_shared:
                 continue
-            u = g & ~f
             v = f & ~g
-            key = (u.bit_count(), v, u)
-            if best is None or key < best:
-                best = key
-    if best is None:
+            if shared > most_shared or v < best_v or (v == best_v and g & ~f < best_u):
+                most_shared, best_v, best_u = shared, v, g & ~f
+    if most_shared < 0:
         return None
-    return best[2], best[1]
+    return best_u, best_v
 
 
 def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
     """Apply colex-chosen Daykin shifts until the family is a colex segment.
 
     Two runtime certificates are enforced at every step: the immediate
-    shadow never grows, and the sum of colex ranks strictly drops.
+    shadow never grows, and the sum of colex ranks strictly drops.  Both
+    are read from the cached level table: the shadow is the union of the
+    members' shadow index sets, and the rank sum changes by the colex
+    indices of the words a step writes minus those of the words it removes.
     """
     if fam.k is None:
         raise ValueError("colex compression needs a uniform family")
+    table = level(fam.n, fam.k)
+    index, shadows = table.index, table.shadows
     steps = []
     cur = fam
     track_shadow = cur.k >= 1 and len(cur) > 0
-    cur_shadow = len(shadow(cur, cur.k - 1)) if track_shadow else 0
-    cur_rank = sum(colex_rank(w) for w in cur.members)
+    cur_shadow = _shadow_size(cur, index, shadows) if track_shadow else 0
     while True:
         hit = find_colex_violation(cur)
         if hit is None:
@@ -263,23 +269,28 @@ def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
         u, v = hit
         nxt, moved = _daykin_words(cur, u, v)
         if track_shadow:
-            nxt_shadow = len(shadow(nxt, nxt.k - 1))
+            nxt_shadow = _shadow_size(nxt, index, shadows)
             if nxt_shadow > cur_shadow:
                 raise InvariantViolation(
                     f"immediate shadow grew {cur_shadow} -> {nxt_shadow} under "
                     f"U={set_repr(u)} V={set_repr(v)}"
                 )
             cur_shadow = nxt_shadow
-        nxt_rank = sum(colex_rank(w) for w in nxt.members)
-        if nxt_rank >= cur_rank:
+        old, new = cur.member_set(), nxt.member_set()
+        rank_delta = sum(index[w] for w in new - old) - sum(index[w] for w in old - new)
+        if rank_delta >= 0:
             raise InvariantViolation("colex-rank potential did not drop")
-        cur_rank = nxt_rank
         steps.append(ShiftStep("daykin", u=u, v=v, moved=moved))
         cur = nxt
     target = colex_segment(fam.n, len(fam), fam.k)
     if cur.members != target.members:
         raise InvariantViolation("compression fixed point is not the colex segment")
     return cur, ShiftTrace(tuple(steps))
+
+
+def _shadow_size(fam: Family, index: dict[int, int], shadows: tuple[tuple[int, ...], ...]) -> int:
+    """|immediate shadow| of a family, read from its level's table."""
+    return len(set().union(*[shadows[index[w]] for w in fam.members]))
 
 
 def _lex_violation(fam: Family) -> tuple[int, tuple, tuple, int, int] | None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 import os
 import random
 import time
@@ -48,7 +47,7 @@ from .families import (
     shadow,
     trace,
 )
-from .orders import level_words, lex_segment
+from .orders import level, level_words, lex_segment
 from .shifting import (
     compress_to_colex,
     cross_lex_shift_step,
@@ -509,25 +508,15 @@ def _merged_params(spec: ClaimSpec, params: dict | None) -> dict:
     return merged
 
 
-def _member_shadow_masks(n: int, k: int):
-    """The immediate shadow of each k-set in colex order, as a mask over the
-    colex indices of the (k-1)-level."""
-    below = {w: i for i, w in enumerate(level_words(n, k - 1))}
-    for w in level_words(n, k):
-        m = 0
-        ww = w
-        while ww:
-            low = ww & -ww
-            m |= 1 << below[w ^ low]
-            ww ^= low
-        yield m
-
-
 @functools.lru_cache(maxsize=None)
 def _colex_shadow_table(n: int, k: int) -> tuple[int, ...]:
     """|immediate shadow| of the colex segment of each size in the k-level."""
-    segments = itertools.accumulate(_member_shadow_masks(n, k), operator.or_)
-    return (0, *(acc.bit_count() for acc in segments))
+    seen: set[int] = set()
+    sizes = [0]
+    for sub in level(n, k).shadows:
+        seen.update(sub)
+        sizes.append(len(seen))
+    return tuple(sizes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1361,7 +1350,7 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
     m_words = len(words)
     total = 1 << m_words
     _refuse_over_budget(space, total, budget)
-    member_masks = list(_member_shadow_masks(n, k))
+    member_masks = [sum(1 << i for i in sub) for sub in level(n, k).shadows]
     verdicts = [_shadow_verdict(mode, n, k, size) for size in range(m_words + 1)]
     # Skips depend on the size alone, so they are counted here, and a
     # skipped size gets floor -1 and equality size -1, which no shadow meets.

@@ -1,12 +1,15 @@
 """Command-line behavior: pipelines, exit codes, report output."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from shadowlab.families import Family
+from shadowlab import cli
+from shadowlab.diversity import is_up_closed, total_influence
+from shadowlab.families import Family, InvariantViolation
 
 RUN = [sys.executable, "-m", "shadowlab.cli"]
 
@@ -85,6 +88,14 @@ def test_influence_json():
     assert data["total"] == 1.5
     single = run_cli(["influence", "-i", "2"], stdin=made.stdout)
     assert json.loads(single.stdout)["influence"] == 0.5
+    # `total` is the library's total influence, on an up-set and on a family
+    # that is not one (where the up-set identity is not checked)
+    for text, up in (("n=4 k=-\n1,2\n1,2,3\n1,2,4\n1,2,3,4\n", True),
+                     ("n=4 k=2\n1,2\n1,3\n3,4\n", False)):
+        fam = Family.from_text(text)
+        assert is_up_closed(fam) is up
+        data = json.loads(run_cli(["influence"], stdin=text).stdout)
+        assert data["total"] == total_influence(fam)
 
 
 def test_verify_pass_exit_zero():
@@ -157,3 +168,15 @@ def test_verify_output_file(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(target.read_text())["claim"] == "shadow-colex-lower"
+
+
+def test_invariant_violation_exit_70(monkeypatch, capsys):
+    def broken(fam):
+        raise InvariantViolation("colex-rank potential did not drop")
+
+    monkeypatch.setattr(cli, "compress_to_colex", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n=3 k=2\n2,3\n"))
+    assert cli.main(["compress"]) == 70
+    err = capsys.readouterr().err
+    assert "colex-rank potential did not drop" in err
+    assert "Traceback" not in err

@@ -4,6 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from shadowlab import families, orders, shifting
 
 from shadowlab.families import (
     Family,
@@ -16,9 +20,19 @@ from shadowlab.families import (
     trace,
     word_of,
 )
-from shadowlab.orders import Ordering, colex_segment, compare, level_words, lex_segment
+from shadowlab.orders import (
+    Ordering,
+    colex_rank,
+    colex_segment,
+    compare,
+    level,
+    level_words,
+    lex_segment,
+)
 from shadowlab.shifting import (
+    ShiftStep,
     ShiftTrace,
+    _daykin_words,
     compress_to_colex,
     cross_lex_shift_step,
     daykin_shift,
@@ -266,6 +280,131 @@ def test_trace_replay_rejects_wrong_start():
     if len(tr):
         with pytest.raises(InvariantViolation):
             tr.replay(fam(4, [1, 2], [1, 3]))
+
+
+def _reference_violation(f):
+    """The plain pair scan: every absent G below the top member against every
+    member F above it, keyed by (|U|, V, U)."""
+    present = f.member_set()
+    best = None
+    for g in level_words(f.n, f.k):
+        if not f.members or g >= f.members[-1]:
+            break
+        if g in present:
+            continue
+        for member in f.members:
+            if member > g:
+                u, v = g & ~member, member & ~g
+                key = (u.bit_count(), v, u)
+                if best is None or key < best:
+                    best = key
+    return None if best is None else (best[2], best[1])
+
+
+def _reference_compress(f):
+    """Colex compression with both certificates recomputed from scratch at
+    every step: the shadow by `shadow`, the rank sum by `colex_rank`."""
+    steps = []
+    cur = f
+    track = cur.k >= 1 and len(cur) > 0
+    cur_shadow = len(shadow(cur, cur.k - 1)) if track else 0
+    cur_rank = sum(colex_rank(x) for x in cur.members)
+    while (hit := _reference_violation(cur)) is not None:
+        u, v = hit
+        nxt = daykin_shift(cur, u, v)
+        if track:
+            assert len(shadow(nxt, nxt.k - 1)) <= cur_shadow
+            cur_shadow = len(shadow(nxt, nxt.k - 1))
+        nxt_rank = sum(colex_rank(x) for x in nxt.members)
+        assert nxt_rank < cur_rank
+        cur_rank = nxt_rank
+        moved = len(nxt.member_set() - cur.member_set())
+        steps.append(ShiftStep("daykin", u=u, v=v, moved=moved))
+        cur = nxt
+    return cur, ShiftTrace(tuple(steps))
+
+
+@st.composite
+def uniform_families(draw, max_n=8, max_k=4):
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(0, min(n, max_k)))
+    words = level_words(n, k)
+    keep = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
+    members = [x for x, kept in zip(words, keep) if kept]
+    return Family(n, members, k=k if not members else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uniform_families())
+@example(Family(6, (), k=3))
+@example(Family(4, [0]))
+@example(fam(5, [2], [4], [5]))
+def test_compress_matches_reference(f):
+    out, tr = compress_to_colex(f)
+    ref_out, ref_tr = _reference_compress(f)
+    assert out.members == ref_out.members
+    assert tr.to_text() == ref_tr.to_text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(uniform_families(max_n=9, max_k=5))
+def test_level_table_matches_rank_and_shadow(f):
+    table = level(f.n, f.k)
+    assert table.words == level_words(f.n, f.k)
+    for i, x in enumerate(table.words):
+        assert table.index[x] == i == colex_rank(x)
+    if f.k >= 1:
+        below = level_words(f.n, f.k - 1)
+        for x in f.members:
+            sub = {below[j] for j in table.shadows[table.index[x]]}
+            assert sub == set(shadow(Family(f.n, [x]), f.k - 1).members)
+        union = set().union(*(table.shadows[table.index[x]] for x in f.members))
+        assert len(union) == len(shadow(f, f.k - 1))
+
+
+def test_compress_reads_no_shadow_or_colex_rank(monkeypatch):
+    # the level table is the only source of both certificates
+    def refuse(*args):
+        raise AssertionError("compression fell back to a slow certificate")
+
+    monkeypatch.setattr(families, "shadow", refuse)
+    monkeypatch.setattr(orders, "colex_rank", refuse)
+    monkeypatch.setattr(shifting, "shadow", refuse, raising=False)
+    monkeypatch.setattr(shifting, "colex_rank", refuse, raising=False)
+    f = fam(6, [4, 5, 6], [2, 5, 6], [1, 3, 6], [3, 4, 5], [2, 4, 6])
+    out, tr = compress_to_colex(f)
+    assert out == colex_segment(6, 5, 3)
+    assert len(tr) > 0
+
+
+def _force_steps(monkeypatch, *hits):
+    """Make the violation search answer `hits` in turn, then None."""
+    answers = iter(hits)
+    monkeypatch.setattr(shifting, "find_colex_violation", lambda f: next(answers, None))
+
+
+def test_compress_certificates_raise(monkeypatch):
+    # {1,2},{1,3},{2,3} <- {4,5} for {1,2}: the shadow grows from 3 to 5
+    _force_steps(monkeypatch, (w(4, 5), w(1, 2)))
+    with pytest.raises(InvariantViolation, match="immediate shadow grew 3 -> 5"):
+        compress_to_colex(fam(6, [1, 2], [1, 3], [2, 3]))
+    # {1,2} -> {2,3} keeps the shadow size but raises the colex rank
+    _force_steps(monkeypatch, (w(3), w(1)))
+    with pytest.raises(InvariantViolation, match="colex-rank potential did not drop"):
+        compress_to_colex(fam(3, [1, 2]))
+    # stopping early leaves a family that is not the colex segment
+    _force_steps(monkeypatch)
+    with pytest.raises(InvariantViolation, match="fixed point is not the colex segment"):
+        compress_to_colex(fam(3, [2, 3]))
+
+
+def test_daykin_step_checks_family_size():
+    # a corrupted family that lists a member twice: both copies move to the
+    # same image, and the step refuses the smaller result
+    dup = fam(3, [1, 2])
+    object.__setattr__(dup, "members", dup.members * 2)
+    with pytest.raises(InvariantViolation, match="shift changed the family size"):
+        _daykin_words(dup, w(3), w(1))
 
 
 # -- cross lex shift -------------------------------------------------------------
