@@ -44,7 +44,7 @@ from .diversity import (
     s_diversity,
     total_influence,
 )
-from .constructions import ConstructionSpec, build, kalai_circle, kalai_member
+from .constructions import build, kalai_circle, kalai_member
 from .verifier import (
     BudgetExceeded,
     InstanceSpace,

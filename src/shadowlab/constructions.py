@@ -8,17 +8,10 @@ verifier's business, so boundary cases stay reachable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .binomials import check_named_params
 from .families import Family, word_of
 from .orders import colex_segment, level_words, lex_segment
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    name: str
-    params: dict = field(default_factory=dict)
 
 
 def star(n: int, k: int) -> Family:
@@ -191,12 +184,8 @@ CONSTRUCTIONS = {
 }
 
 
-def build(spec: ConstructionSpec | str, **params: int) -> Family:
+def build(name: str, **params: int) -> Family:
     """Build a named construction; extra or missing parameters are errors."""
-    if isinstance(spec, ConstructionSpec):
-        name, params = spec.name, dict(spec.params)
-    else:
-        name = spec
     if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}; know {sorted(CONSTRUCTIONS)}")
     fn, wanted = CONSTRUCTIONS[name]

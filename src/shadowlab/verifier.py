@@ -67,16 +67,17 @@ class BudgetExceeded(RuntimeError):
 # instance spaces
 # ---------------------------------------------------------------------------
 
-# Each kind's required parameters.  All are integers except the grid's
-# name, which is "params" or a key of CONSTRUCTIONS.
+# Each kind's required parameters, then the optional ones checked when
+# present.  All are integers except the grid's name, which is "params" or a
+# key of CONSTRUCTIONS.
 SPACE_KINDS = {
-    "all-families": ("n", "k"),
-    "all-shifted-families": ("n", "k"),
-    "all-cross-pairs": ("n", "a", "b"),
-    "all-graphs": ("n",),
-    "all-up-sets": ("n",),
-    "constructions-grid": ("name",),
-    "random-sample": ("n", "count"),
+    "all-families": (("n", "k"), ()),
+    "all-shifted-families": (("n", "k"), ()),
+    "all-cross-pairs": (("n", "a", "b"), ()),
+    "all-graphs": (("n",), ()),
+    "all-up-sets": (("n",), ()),
+    "constructions-grid": (("name",), ()),
+    "random-sample": (("n", "count"), ("k", "seed")),
 }
 
 
@@ -89,7 +90,8 @@ class InstanceSpace:
     def make(cls, kind: str, **params) -> "InstanceSpace":
         if kind not in SPACE_KINDS:
             raise ValueError(f"unknown space kind {kind!r}; know {tuple(SPACE_KINDS)}")
-        for key in SPACE_KINDS[kind]:
+        required, optional = SPACE_KINDS[kind]
+        for key in required + tuple(key for key in optional if key in params):
             val = params.get(key)
             if key == "name":
                 if val != "params" and val not in CONSTRUCTIONS:
@@ -244,7 +246,7 @@ def _raw_iter(space: InstanceSpace):
         raise ValueError(f"unknown space kind {kind!r}")
 
 
-def _mask_family(n: int, k: int, words, mask: int) -> Family:
+def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
     sel = []
     m = mask
     while m:
@@ -343,8 +345,12 @@ def _iter_cross_pairs(n: int, a: int, b: int):
 
 
 def _iter_graphs(n: int):
-    """Edge subsets of K_n with no isolated vertex, edge-mask ascending."""
+    """Edge subsets of K_n with no isolated vertex, edge-mask ascending.
+
+    On n = 0 the one graph is the empty one, with no uniformity tag since
+    [0] has no 2-sets."""
     edges = level_words(n, 2)
+    k = 2 if n >= 2 else None
     full = (1 << n) - 1
     for mask in range(1 << len(edges)):
         cover = 0
@@ -354,7 +360,7 @@ def _iter_graphs(n: int):
             cover |= edges[low.bit_length() - 1]
             m ^= low
         if cover == full:
-            yield _mask_family(n, 2, edges, mask)
+            yield _mask_family(n, k, edges, mask)
 
 
 def _iter_up_sets(n: int):
@@ -415,7 +421,7 @@ class Report:
         return cls(**json.loads(text))
 
 
-def reverify(report: Report | dict, claim_params: dict | None = None) -> bool:
+def reverify(report: Report | dict) -> bool:
     """Re-run the claim on every recorded counterexample; True iff each
     one still violates."""
     body = report.to_dict() if isinstance(report, Report) else report
@@ -425,8 +431,6 @@ def reverify(report: Report | dict, claim_params: dict | None = None) -> bool:
         key, _, val = tok.partition("=")
         if key and val:
             embedded[key] = _parse_value(val)
-    if claim_params:
-        embedded.update(claim_params)
     spec = CLAIMS[claim_id]
     space = InstanceSpace.parse(body["space"])
     merged = _merged_params(spec, embedded)
@@ -873,6 +877,29 @@ def _prep_ratio_monotone(space, params):
     return check
 
 
+@functools.lru_cache(maxsize=None)
+def _graph_verdict(s: int, avoided: int, cover: int, complete: bool) -> tuple[str, str | None]:
+    """The graph-avoidance verdict for a graph with matching number s whose
+    best s-set leaves `avoided` edges, on `cover` non-isolated vertices and
+    complete on them or not.  The empty graph (s = 0) is skipped; the bound
+    is C(s+1,2), met only by complete graphs on 2s+1 vertices, and a graph
+    on more than 2s+1 vertices leaves at most C(s,2)+1."""
+    if s == 0:
+        return "skip", None
+    bound = comb(s + 1, 2)
+    if avoided > bound:
+        return "violation", f"min avoided edges {avoided} > {bound}"
+    if avoided == bound:
+        if complete and cover == 2 * s + 1:
+            return "equality", None
+        return "violation", "bound met by a non-complete graph"
+    if cover > 2 * s + 1 and avoided > comb(s, 2) + 1:
+        return "violation", (
+            f"non-clique-bounded graph leaves {avoided} > C(s,2)+1 edges"
+        )
+    return "ok", None
+
+
 @_claim(
     "graph-avoidance",
     "a graph with matching number s has an s-set whose removal leaves at "
@@ -881,27 +908,13 @@ def _prep_ratio_monotone(space, params):
 )
 def _prep_graph_avoidance(space, params):
     def check(fam):
-        if len(fam) == 0:
-            return "skip", None
         s = matching_number(fam)
-        value = s_diversity(fam, s).value
-        bound = comb(s + 1, 2)
-        if value > bound:
-            return "violation", f"min avoided edges {value} > {bound}"
+        avoided = s_diversity(fam, s).value if s else len(fam)
         cover = 0
         for w in fam.members:
             cover |= w
         csize = cover.bit_count()
-        complete = len(fam) == comb(csize, 2)
-        if value == bound:
-            if complete and csize == 2 * s + 1:
-                return "equality", None
-            return "violation", "bound met by a non-complete graph"
-        if csize > 2 * s + 1 and value > comb(s, 2) + 1:
-            return "violation", (
-                f"non-clique-bounded graph leaves {value} > C(s,2)+1 edges"
-            )
-        return "ok", None
+        return _graph_verdict(s, avoided, csize, len(fam) == comb(csize, 2))
 
     return check
 
@@ -1405,112 +1418,72 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
 def _graph_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
     """Vectorized scan of the graph-avoidance claim over all-graphs(n).
 
-    Mirrors the per-instance checker exactly; counterexamples and equality
-    witnesses come out in ascending edge-mask order.
+    Every edge mask m gets its covered vertices, edge count and matching
+    number from m without its highest edge e, with
+    nu(m) = max(nu(m - e), 1 + nu(m minus every edge touching e)).  The edge
+    counts double as the popcount table for the edges each s-set avoids.
+    Statuses and details come from the checker's own _graph_verdict, and
+    instances are recorded in ascending edge-mask order.
     """
     import numpy as np
 
     n = space.get("n")
     edges = level_words(n, 2)
     num_edges = len(edges)
-    total = space_size(space)
-    _refuse_over_budget(space, total, budget)
+    _refuse_over_budget(space, space_size(space), budget)
 
-    all_masks = np.arange(1 << num_edges, dtype=np.int64)
-    cover = np.zeros(all_masks.size, dtype=np.int32)
-    for ei, vw in enumerate(edges):
-        cover |= np.where((all_masks >> ei) & 1 == 1, np.int32(vw), np.int32(0))
-    graphs = all_masks[cover == (1 << n) - 1]
+    # The narrowest dtypes that hold an edge mask, a vertex mask and a count.
+    index = np.min_scalar_type((1 << num_edges) - 1)
+    cover = np.zeros(1 << num_edges, dtype=np.min_scalar_type((1 << n) - 1))
+    count = np.zeros(1 << num_edges, dtype=np.min_scalar_type(num_edges))
+    nu = np.zeros_like(count)
+    for e, word in enumerate(edges):
+        lo, hi = 1 << e, 2 << e
+        touching = sum(1 << f for f in range(e) if edges[f] & word)
+        apart = np.arange(lo, dtype=index) & ((lo - 1) ^ touching)
+        cover[lo:hi] = cover[:lo] | word
+        count[lo:hi] = count[:lo] + 1
+        nu[lo:hi] = np.maximum(nu[:lo], 1 + nu[apart])
+    graphs = np.flatnonzero(cover == (1 << n) - 1).astype(index)
+    del cover
 
-    # matching number via "contains some j-matching" passes
-    matchings: dict[int, list[int]] = {}
-    for size in range(1, n // 2 + 1):
-        found = []
-        for combo in itertools.combinations(range(num_edges), size):
-            used = 0
-            ok = True
-            for ei in combo:
-                if used & edges[ei]:
-                    ok = False
-                    break
-                used |= edges[ei]
-            if ok:
-                emask = 0
-                for ei in combo:
-                    emask |= 1 << ei
-                found.append(emask)
-        if found:
-            matchings[size] = found
-    nu = np.zeros(graphs.size, dtype=np.int8)
-    for size, masks in matchings.items():
-        has = np.zeros(graphs.size, dtype=bool)
-        for emask in masks:
-            has |= (graphs & emask) == emask
-        nu = np.where(has, np.int8(size), nu)
-
-    pop16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int8)
-
-    def popcnt(arr):
-        return (pop16[arr & 0xFFFF] + pop16[(arr >> 16) & 0xFFFF]).astype(np.int8)
-
-    vertex_edge_mask = []
-    for vtx in range(n):
-        emask = 0
-        for ei, vw in enumerate(edges):
-            if vw >> vtx & 1:
-                emask |= 1 << ei
-        vertex_edge_mask.append(emask)
-    cover_size = np.zeros(graphs.size, dtype=np.int8)
-    for vtx in range(n):
-        cover_size += ((graphs & vertex_edge_mask[vtx]) != 0)
-
-    edge_count = popcnt(graphs & 0xFFFFFFFF).astype(np.int16) + popcnt(graphs >> 32)
-
-    bad = np.zeros(graphs.size, dtype=bool)
-    eq_ok = np.zeros(graphs.size, dtype=bool)
+    nu = nu[graphs]
+    avoided = count[graphs]
     for s in range(1, n // 2 + 1):
         sel = nu == s
-        if not sel.any():
-            continue
         sub = graphs[sel]
-        minavoid = np.full(sub.size, np.int8(127))
-        for rset in itertools.combinations(range(n), s):
-            rmask = 0
-            for vtx in rset:
-                rmask |= 1 << vtx
-            emask = 0
-            for ei, vw in enumerate(edges):
-                if vw & rmask == 0:
-                    emask |= 1 << ei
-            minavoid = np.minimum(minavoid, popcnt(sub & emask))
-        bound = comb(s + 1, 2)
-        csize = cover_size[sel]
-        complete = edge_count[sel] == csize.astype(np.int16) * (csize - 1) // 2
-        at_bound = minavoid == bound
-        good_eq = at_bound & complete & (csize == 2 * s + 1)
-        over = minavoid > bound
-        hm_bad = (csize > 2 * s + 1) & (minavoid > comb(s, 2) + 1)
-        bad_here = over | (at_bound & ~good_eq) | hm_bad
-        idx = np.flatnonzero(sel)
-        bad[idx[bad_here]] = True
-        eq_ok[idx[good_eq]] = True
+        best = avoided[sel]
+        for r in level_words(n, s):
+            keep = sum(1 << e for e, word in enumerate(edges) if word & r == 0)
+            np.minimum(best, count[sub & keep], out=best)
+        avoided[sel] = best
 
-    tallies = {
-        "checked": int(graphs.size), "skipped": 0,
-        "violations": int(bad.sum()), "equalities": int(eq_ok.sum()),
-        "counterexamples": [], "equality_witnesses": [],
+    # Every graph here covers [n], so it is complete only with every edge.
+    verdicts = [
+        _graph_verdict(s, a, n, complete)
+        for s in range(n // 2 + 1) for a in range(num_edges + 1)
+        for complete in (False, True)
+    ]
+    codes = ("ok", "violation", "equality", "skip")
+    table = np.array([codes.index(v[0]) for v in verdicts], dtype=np.int8)
+    key = nu.astype(np.min_scalar_type(len(verdicts)))
+    key = (key * (num_edges + 1) + avoided) * 2 + (graphs == (1 << num_edges) - 1)
+    status = table[key]
+    ok, violations, equalities, skipped = np.bincount(status, minlength=4).tolist()
+
+    def recorded(code: int):
+        for idx in np.flatnonzero(status == code)[:max_recorded]:
+            yield _mask_family(n, 2, edges, int(graphs[idx])), verdicts[key[idx]][1]
+
+    return {
+        "checked": ok + violations + equalities, "skipped": skipped,
+        "violations": violations, "equalities": equalities,
+        "counterexamples": [
+            {"instance": _instance_payload(fam), "detail": detail}
+            for fam, detail in recorded(1)
+        ],
+        "equality_witnesses": [_instance_payload(fam) for fam, _ in recorded(2)],
     }
-    check = _PREPARE["graph-avoidance"](space, params)
-    for gmask in graphs[bad][:max_recorded]:
-        fam = _mask_family(n, 2, edges, int(gmask))
-        status, detail = check(fam)
-        tallies["counterexamples"].append(
-            {"instance": _instance_payload(fam), "detail": detail or "kernel flag"}
-        )
-    for gmask in graphs[eq_ok][:max_recorded]:
-        fam = _mask_family(n, 2, edges, int(gmask))
-        tallies["equality_witnesses"].append(_instance_payload(fam))
-    return tallies
 
 
 def _cross_stability_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:

@@ -147,6 +147,9 @@ def test_usage_error_exit_64():
         ("shadow-colex-lower", "random-sample:n=6,k=3"),
         ("cross-lex-segments", "all-cross-pairs:n=5,a=2"),
         ("shadow-colex-lower", "constructions-grid:name=nope,n=3..5"),
+        ("shadow-colex-lower", "random-sample:n=6,count=3,k=abc"),
+        ("shadow-colex-lower", "random-sample:n=6,count=3,k=2.5"),
+        ("shadow-colex-lower", "random-sample:n=6,count=3,seed=abc"),
     ):
         out = run_cli(["verify", "--claim", claim, "--space", space])
         assert out.returncode == 64, (space, out.stderr)

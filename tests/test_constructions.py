@@ -7,7 +7,6 @@ import pytest
 
 from shadowlab.binomials import bound_value
 from shadowlab.constructions import (
-    ConstructionSpec,
     a2_family,
     build,
     kalai_circle,
@@ -191,8 +190,7 @@ def test_kalai_even_n_splits_complement_pairs():
 
 
 def test_construction_spec_and_validation():
-    spec = ConstructionSpec("L_uv", {"n": 7, "k": 3, "u": 3, "v": 3})
-    assert len(build(spec)) == 13
+    assert len(build("L_uv", n=7, k=3, u=3, v=3)) == 13
     with pytest.raises(ValueError):
         build("no_such_thing", n=3)
     with pytest.raises(ValueError):

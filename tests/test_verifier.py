@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowlab import verifier
 from shadowlab.constructions import build
 from shadowlab.diversity import s_diversity
 from shadowlab.families import Family, matching_number
@@ -282,6 +283,40 @@ def test_graph_claim_kernel_and_generic_agree():
         fam = Family(6, sel)
         status, detail = check(fam)
         assert status in ("ok", "equality"), detail
+
+
+def _graph_scans(n: int, max_recorded: int) -> tuple[dict, dict]:
+    """The graph kernel's and the generic scan's tallies on all-graphs(n)."""
+    space = InstanceSpace.make("all-graphs", n=n)
+    kernel = verifier._graph_kernel(space, {}, None, max_recorded)
+    generic = verifier._scan_block(
+        CLAIMS["graph-avoidance"], space, {}, None, None, max_recorded
+    )
+    return kernel, generic
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_graph_kernel_matches_generic_scan(n):
+    kernel, generic = _graph_scans(n, 1000)
+    assert kernel == generic
+    if n == 0:
+        # the empty graph is the one instance, and the check skips it
+        assert list(iter_space(InstanceSpace.make("all-graphs", n=0))) == [Family(0)]
+        assert (kernel["checked"], kernel["skipped"]) == (0, 1)
+
+
+def test_graph_kernel_features_match_the_check(monkeypatch):
+    # With every verdict a violation that spells out its inputs, each
+    # graph's recorded detail shows the features its path computed.
+    def spell(s, avoided, cover, complete):
+        return "violation", f"{s},{avoided},{cover},{complete}"
+
+    monkeypatch.setattr(verifier, "_graph_verdict", spell)
+    for n in range(2, 6):
+        kernel, generic = _graph_scans(n, 768)
+        assert kernel["violations"] == generic["violations"] == kernel["checked"]
+        assert len(kernel["counterexamples"]) == min(768, kernel["checked"])
+        assert kernel["counterexamples"] == generic["counterexamples"]
 
 
 def test_rwise_diversity_exploratory_flag():
