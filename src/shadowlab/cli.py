@@ -203,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
                 params[key] = _num(value)
             space = InstanceSpace.parse(args.space)
             if args.seed is not None:
+                if space.kind != "random-sample":
+                    parser.error("--seed applies only to random-sample spaces")
                 space = InstanceSpace.make(
                     space.kind, **{**dict(space.params), "seed": args.seed}
                 )

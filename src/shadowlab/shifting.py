@@ -82,7 +82,7 @@ class ShiftTrace:
     def replay(self, fam: Family) -> Family:
         for step in self.steps:
             if step.kind == "ij":
-                fam, moved = _shift_ij_words(fam, step.i, step.j)
+                fam, moved = _daykin_words(fam, 1 << (step.i - 1), 1 << (step.j - 1))
             else:
                 fam, moved = _daykin_words(fam, step.u, step.v)
             if moved != step.moved:
@@ -90,27 +90,6 @@ class ShiftTrace:
                     f"replay moved {moved} sets at {step.to_line()!r}"
                 )
         return fam
-
-
-def _shift_ij_words(fam: Family, i: int, j: int) -> tuple[Family, int]:
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    present = fam.member_set()
-    out = []
-    moved = 0
-    for w in fam.members:
-        if w & bj and not w & bi:
-            g = (w ^ bj) | bi
-            if g in present:
-                out.append(w)
-            else:
-                out.append(g)
-                moved += 1
-        else:
-            out.append(w)
-    res = Family(fam.n, out, k=fam.k if not out else None)
-    if len(res) != len(fam):
-        raise InvariantViolation("shift changed the family size")
-    return res, moved
 
 
 def shift_ij(fam: Family, i: int, j: int) -> Family:
@@ -124,7 +103,7 @@ def shift_ij(fam: Family, i: int, j: int) -> Family:
     for e in (i, j):
         if not 1 <= e <= fam.n:
             raise ValueError(f"element {e} outside 1..{fam.n}")
-    return _shift_ij_words(fam, i, j)[0]
+    return _daykin_words(fam, 1 << (i - 1), 1 << (j - 1))[0]
 
 
 def is_shifted(fam: Family) -> bool:
@@ -160,7 +139,7 @@ def shift_to_shifted(fam: Family) -> tuple[Family, ShiftTrace]:
         changed = False
         for i in range(1, cur.n + 1):
             for j in range(i + 1, cur.n + 1):
-                nxt, moved = _shift_ij_words(cur, i, j)
+                nxt, moved = _daykin_words(cur, 1 << (i - 1), 1 << (j - 1))
                 if moved:
                     new_potential = sum(sum(elements_of(w)) for w in nxt.members)
                     if new_potential >= potential:

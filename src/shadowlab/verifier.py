@@ -7,9 +7,13 @@ produces a replayable Report: hypothesis failures are skipped, violations
 are recorded as counterexamples (re-verifiable from their serialized
 form), and instances meeting a bound with equality become witnesses.
 
-Scans can be partitioned into contiguous blocks and fanned out over a
-process pool; the reduction merges counterexample and witness lists in
-canonical order, so runs are reproducible regardless of the worker count.
+A claim runs either through its fast kernel or through the one generic
+scan.  With jobs >= 2 the scan splits the numbered spaces, all-families
+and random-sample, into index ranges checked in a process pool, each
+worker building only its own instances; the reduction merges counterexample
+and witness lists in index order, so runs are reproducible regardless of
+the worker count.  Kernels and every other space run in one process.
+Unknown space parameters and a negative sample count are refused.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ class BudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 # Each kind's required parameters, then the optional ones checked when
-# present.  All are integers except the grid's name, which is "params" or a
-# key of CONSTRUCTIONS.
+# present; no others are accepted, except the grid's axes.  All are integers
+# except the grid's name, which is "params" or a key of CONSTRUCTIONS, and a
+# sample's count may not be negative.
 SPACE_KINDS = {
     "all-families": (("n", "k"), ()),
     "all-shifted-families": (("n", "k"), ()),
@@ -91,6 +96,9 @@ class InstanceSpace:
         if kind not in SPACE_KINDS:
             raise ValueError(f"unknown space kind {kind!r}; know {tuple(SPACE_KINDS)}")
         required, optional = SPACE_KINDS[kind]
+        unknown = sorted(set(params) - set(required + optional))
+        if unknown and kind != "constructions-grid":
+            raise ValueError(f"{kind} takes no parameter {', '.join(unknown)}")
         for key in required + tuple(key for key in optional if key in params):
             val = params.get(key)
             if key == "name":
@@ -100,6 +108,8 @@ class InstanceSpace:
                     )
             elif not isinstance(val, int):
                 raise ValueError(f"{kind} needs an integer {key}=...")
+            elif key == "count" and val < 0:
+                raise ValueError(f"{kind} needs count >= 0, not {val}")
         return cls(kind, tuple(sorted(params.items())))
 
     def get(self, name: str, default=None):
@@ -211,11 +221,8 @@ def _refuse_over_budget(space: InstanceSpace, total: int, budget: int | None) ->
 
 def _raw_iter(space: InstanceSpace):
     kind = space.kind
-    if kind == "all-families":
-        n, k = space.get("n"), space.get("k")
-        words = level_words(n, k)
-        for mask in range(1 << len(words)):
-            yield _mask_family(n, k, words, mask)
+    if kind in NUMBERED_KINDS:
+        yield from _iter_numbered(space, 0, space_size(space))
     elif kind == "all-shifted-families":
         yield from _iter_shifted(space.get("n"), space.get("k"))
     elif kind == "all-cross-pairs":
@@ -224,12 +231,7 @@ def _raw_iter(space: InstanceSpace):
         yield from _iter_graphs(space.get("n"))
     elif kind == "all-up-sets":
         yield from _iter_up_sets(space.get("n"))
-    elif kind == "random-sample":
-        n, k = space.get("n"), space.get("k")
-        count, seed = space.get("count"), space.get("seed", 0)
-        for idx in range(count):
-            yield _sample_family(n, k, seed, idx)
-    elif kind == "constructions-grid":
+    else:  # constructions-grid
         name = space.get("name")
         for params in _grid_points(space):
             if name == "params":
@@ -242,8 +244,32 @@ def _raw_iter(space: InstanceSpace):
                 yield params, None
                 continue
             yield params, fam
-    else:
-        raise ValueError(f"unknown space kind {kind!r}")
+
+
+# Spaces whose instance i is computed from i alone: mask i of the level, or
+# sample i of the seed.  Only these are split into index ranges over workers.
+NUMBERED_KINDS = ("all-families", "random-sample")
+
+
+def _iter_numbered(space: InstanceSpace, lo: int, hi: int):
+    """Instances lo..hi-1 of a numbered space, each built from its index."""
+    n, k = space.get("n"), space.get("k")
+    if space.kind == "all-families":
+        words = level_words(n, k)
+        for mask in range(lo, hi):
+            yield _mask_family(n, k, words, mask)
+        return
+    seed = space.get("seed", 0)
+    words = level_words(n, k) if k is not None else None
+    for idx in range(lo, hi):
+        rng = random.Random(seed * 1_000_003 + idx)
+        if words is not None:
+            yield _mask_family(n, k, words, rng.getrandbits(len(words)))
+            continue
+        if n > 16:
+            raise ValueError("non-uniform random sampling limited to n <= 16")
+        mask = rng.getrandbits(1 << n)
+        yield Family(n, (w for w in range(1 << n) if mask >> w & 1))
 
 
 def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
@@ -254,18 +280,6 @@ def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
         sel.append(words[low.bit_length() - 1])
         m ^= low
     return Family(n, sel, k=k if not sel else None)
-
-
-def _sample_family(n: int, k: int | None, seed: int, idx: int) -> Family:
-    rng = random.Random(seed * 1_000_003 + idx)
-    if k is None:
-        if n > 16:
-            raise ValueError("non-uniform random sampling limited to n <= 16")
-        mask = rng.getrandbits(1 << n)
-        return Family(n, (w for w in range(1 << n) if mask >> w & 1))
-    words = level_words(n, k)
-    mask = rng.getrandbits(len(words))
-    return _mask_family(n, k, words, mask)
 
 
 def _iter_down_sets(pred: list[int]):
@@ -481,7 +495,6 @@ class ClaimSpec:
     doc: str
     spaces: tuple[str, ...]
     defaults: tuple[tuple[str, object], ...] = ()
-    pairs_from_families: bool = False
     exploratory: object = None   # None | True | callable(space, params) -> bool
     finalize: object = None      # callable(report, space, params) -> None
 
@@ -493,13 +506,9 @@ CLAIMS: dict[str, ClaimSpec] = {}
 _PREPARE: dict[str, object] = {}
 
 
-def _claim(id: str, doc: str, spaces, defaults=(), pairs_from_families=False,
-           exploratory=None, finalize=None):
+def _claim(id: str, doc: str, spaces, defaults=(), exploratory=None, finalize=None):
     def register(fn):
-        CLAIMS[id] = ClaimSpec(
-            id, doc, tuple(spaces), tuple(defaults), pairs_from_families,
-            exploratory, finalize,
-        )
+        CLAIMS[id] = ClaimSpec(id, doc, tuple(spaces), tuple(defaults), exploratory, finalize)
         _PREPARE[id] = fn
         return fn
     return register
@@ -650,7 +659,6 @@ def _prep_cross_lex_segments(space, params):
     "shifted-correlation",
     "shifted families are positively correlated: |F1 n F2| C(n,k) >= |F1||F2|",
     spaces=("all-shifted-families",),
-    pairs_from_families=True,
 )
 def _prep_shifted_correlation(space, params):
     n, k = space.get("n"), space.get("k")
@@ -1545,8 +1553,21 @@ def _cross_stability_kernel(space: InstanceSpace, params, budget, max_recorded) 
     return tallies
 
 
+def _correlation_pairs_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
+    """The correlation claim over every ordered pair of the space's families.
+
+    The budget bounds the families and then the pairs."""
+    fams = list(iter_space(space, budget))
+    eff = _effective_budget(budget)
+    if len(fams) ** 2 > eff:
+        raise BudgetExceeded(f"{len(fams)}^2 ordered pairs exceed the budget of {eff}")
+    check = CLAIMS["shifted-correlation"].prepare(space, params)
+    return _check_stream(check, itertools.product(fams, fams), max_recorded)
+
+
 KERNELS = {
     ("graph-avoidance", "all-graphs"): _graph_kernel,
+    ("shifted-correlation", "all-shifted-families"): _correlation_pairs_kernel,
     ("shadow-colex-lower", "all-families"): _shadow_kernel_factory("colex"),
     ("shadow-real-lower", "all-families"): _shadow_kernel_factory("real"),
     ("cross-diversity-stability", "all-cross-pairs"): _cross_stability_kernel,
@@ -1582,14 +1603,11 @@ def verify(
     notes: dict = {}
     merged["_notes"] = notes
 
-    jobs = jobs or 1
     kernel = KERNELS.get((claim_id, space.kind))
     if kernel is not None:
         tallies = kernel(space, merged, budget, max_recorded)
-    elif jobs > 1 and space.kind in ("all-families", "random-sample") and not spec.pairs_from_families:
-        tallies = _parallel_scan(spec, space, merged, jobs, budget, max_recorded)
     else:
-        tallies = _scan_block(spec, space, merged, None, budget, max_recorded)
+        tallies = _scan(spec, space, merged, jobs or 1, budget, max_recorded)
     _merge_into(report, tallies, max_recorded)
     report.notes.update(notes)
 
@@ -1611,24 +1629,34 @@ def _claim_label(claim_id: str, params: dict) -> str:
     return f"{claim_id}:{body}"
 
 
-def _instance_stream(spec: ClaimSpec, space: InstanceSpace, budget):
-    if spec.pairs_from_families:
-        fams = list(iter_space(space, budget))
-        eff = _effective_budget(budget)
-        if len(fams) ** 2 > eff:
-            raise BudgetExceeded(
-                f"{len(fams)}^2 ordered pairs exceed the budget of {eff}"
-            )
-        return itertools.product(fams, fams)
-    return iter_space(space, budget)
-
-
-def _scan_block(spec, space, params, block, budget, max_recorded) -> dict:
-    stream = _instance_stream(spec, space, budget)
-    if block is not None:
-        lo, hi = block
-        stream = itertools.islice(stream, lo, hi)
-    return _check_stream(spec.prepare(space, params), stream, max_recorded)
+def _scan(spec, space, params, jobs, budget, max_recorded) -> dict:
+    """The generic scan.  A numbered space with jobs >= 2 is split into at
+    most `jobs` index ranges, checked in at most one worker process per CPU
+    and merged in range order; everything else is one block through
+    iter_space."""
+    blocks = []
+    if jobs > 1 and space.kind in NUMBERED_KINDS:
+        total = space_size(space)
+        _refuse_over_budget(space, total, budget)
+        chunk = max(1, -(-total // jobs))
+        blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    workers = min(len(blocks), os.cpu_count() or 1)
+    if workers < 2:
+        return _check_stream(spec.prepare(space, params), iter_space(space, budget), max_recorded)
+    plain = {k: v for k, v in params.items() if not k.startswith("_")}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_worker_scan, spec.id, space.describe(), plain, blk, max_recorded)
+            for blk in blocks
+        ]
+        partials = [f.result() for f in futures]
+    merged = partials[0]
+    for part in partials[1:]:
+        for key in ("checked", "skipped", "violations", "equalities"):
+            merged[key] += part[key]
+        merged["counterexamples"].extend(part["counterexamples"])
+        merged["equality_witnesses"].extend(part["equality_witnesses"])
+    return merged
 
 
 def _check_stream(check, stream, max_recorded: int) -> dict:
@@ -1657,39 +1685,11 @@ def _check_stream(check, stream, max_recorded: int) -> dict:
     return tallies
 
 
-def _worker_scan(claim_id, space_text, params, block, budget, max_recorded):
-    spec = CLAIMS[claim_id]
+def _worker_scan(claim_id, space_text, params, block, max_recorded):
+    """Check instances lo..hi-1 of a numbered space, building only those."""
     space = InstanceSpace.parse(space_text)
-    local = dict(params)
-    local["_notes"] = {}
-    return _scan_block(spec, space, local, block, budget, max_recorded)
-
-
-def _parallel_scan(spec, space, params, jobs, budget, max_recorded) -> dict:
-    total = space_size(space)
-    if total is None:
-        return _scan_block(spec, space, params, None, budget, max_recorded)
-    _refuse_over_budget(space, total, budget)
-    plain = {k: v for k, v in params.items() if not k.startswith("_")}
-    chunk = (total + jobs - 1) // jobs
-    blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _worker_scan, spec.id, space.describe(), plain, blk, budget, max_recorded
-            )
-            for blk in blocks
-        ]
-        partials = [f.result() for f in futures]
-    merged = partials[0]
-    for part in partials[1:]:
-        for key in ("checked", "skipped", "violations", "equalities"):
-            merged[key] += part[key]
-        merged["counterexamples"].extend(part["counterexamples"])
-        merged["equality_witnesses"].extend(part["equality_witnesses"])
-    merged["counterexamples"] = merged["counterexamples"][:max_recorded]
-    merged["equality_witnesses"] = merged["equality_witnesses"][:max_recorded]
-    return merged
+    check = CLAIMS[claim_id].prepare(space, dict(params, _notes={}))
+    return _check_stream(check, _iter_numbered(space, *block), max_recorded)
 
 
 def _merge_into(report: Report, tallies: dict, max_recorded: int) -> None:

@@ -150,10 +150,28 @@ def test_usage_error_exit_64():
         ("shadow-colex-lower", "random-sample:n=6,count=3,k=abc"),
         ("shadow-colex-lower", "random-sample:n=6,count=3,k=2.5"),
         ("shadow-colex-lower", "random-sample:n=6,count=3,seed=abc"),
+        ("shadow-colex-lower", "random-sample:n=6,count=-1,k=3"),
+        ("shadow-colex-lower", "all-families:n=4,k=2,bogus=7"),
     ):
         out = run_cli(["verify", "--claim", claim, "--space", space])
         assert out.returncode == 64, (space, out.stderr)
         assert "Traceback" not in out.stderr
+    assert "count" in run_cli(
+        ["verify", "--claim", "shadow-colex-lower", "--space", "random-sample:n=6,count=-1,k=3"]
+    ).stderr
+    # --seed names a sample's seed; no other space has one
+    for space in ("all-families:n=4,k=2", "constructions-grid:name=params,n=3..5"):
+        out = run_cli(["verify", "--claim", "shadow-colex-lower", "--space", space, "--seed", "5"])
+        assert out.returncode == 64, (space, out.stderr)
+        assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+def test_verify_empty_random_sample(jobs):
+    out = run_cli(["verify", "--claim", "shadow-colex-lower", "--jobs", jobs,
+                   "--space", "random-sample:n=6,count=0,k=3"])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["checked"] == 0
 
 
 def test_io_error_exit_74():

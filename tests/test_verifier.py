@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from concurrent.futures import Future
 from math import comb
 
 import pytest
@@ -57,6 +58,9 @@ def test_space_rejects_unknown_kind():
         "constructions-grid:name=nope,n=3..5",
         "constructions-grid:n=3..5",
         "all-families:n=6,k=x",
+        "all-families:n=4,k=2,bogus=7",
+        "all-graphs:n=4,seed=5",
+        "random-sample:n=6,count=-1,k=3",
     ):
         with pytest.raises(ValueError):
             InstanceSpace.parse(text)
@@ -289,9 +293,7 @@ def _graph_scans(n: int, max_recorded: int) -> tuple[dict, dict]:
     """The graph kernel's and the generic scan's tallies on all-graphs(n)."""
     space = InstanceSpace.make("all-graphs", n=n)
     kernel = verifier._graph_kernel(space, {}, None, max_recorded)
-    generic = verifier._scan_block(
-        CLAIMS["graph-avoidance"], space, {}, None, None, max_recorded
-    )
+    generic = verifier._scan(CLAIMS["graph-avoidance"], space, {}, 1, None, max_recorded)
     return kernel, generic
 
 
@@ -453,18 +455,78 @@ def test_t_intersecting_diversity_claim():
 
 
 def test_parallel_scan_matches_serial():
-    serial = verify("shadow-colex-lower", "all-families:n=4,k=2", jobs=1)
-    parallel = verify("shadow-colex-lower", "all-families:n=4,k=2", jobs=2)
-    assert serial.canonical_json() == parallel.canonical_json()
+    for claim, space in (
+        ("shifted-structure", "all-families:n=4,k=2"),
+        # 1001 samples split unevenly over 2 and 3 workers
+        ("compression-shadow-monotone", "random-sample:count=1001,k=3,n=6,seed=4"),
+    ):
+        assert (claim, space.partition(":")[0]) not in verifier.KERNELS
+        serial = verify(claim, space, jobs=1)
+        assert serial.checked + serial.skipped == space_size(InstanceSpace.parse(space))
+        for jobs in (2, 3):
+            assert verify(claim, space, jobs=jobs).canonical_json() == serial.canonical_json()
+
+
+def test_worker_builds_only_its_block(monkeypatch):
+    built = []
+    init = Family.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    # a check that builds nothing, so every Family counted is an instance
+    monkeypatch.setitem(verifier._PREPARE, "shifted-structure",
+                        lambda space, params: lambda fam: ("ok", None))
+    monkeypatch.setattr(Family, "__init__", counting_init)
+    lo, hi = 900, 940
+    tallies = verifier._worker_scan(
+        "shifted-structure", "all-families:k=2,n=5", {}, (lo, hi), 1000
+    )
+    assert tallies["checked"] == len(built) == hi - lo
+
+
+def test_worker_count_is_capped(monkeypatch):
+    opened = []
+
+    class InlineExecutor:
+        """Records max_workers and runs each task at once, in this process."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+    serial = verify("shifted-structure", "all-families:n=4,k=2", jobs=1)
+    for jobs in (3, 1000):
+        rep = verify("shifted-structure", "all-families:n=4,k=2", jobs=jobs)
+        assert rep.canonical_json() == serial.canonical_json()
+    assert verify("shift-preserves", "random-sample:count=3,k=2,n=4", jobs=1000).checked == 3
+    # min(jobs, blocks, CPUs): 3 jobs; 64 one-instance blocks on 4 CPUs; 3 blocks
+    assert opened == [3, 4, 3]
+    # an empty sample, or one instance, starts no worker
+    for count in (0, 1):
+        rep = verify("shift-preserves", f"random-sample:count={count},k=2,n=4", jobs=1000)
+        assert rep.checked == count
+    assert opened == [3, 4, 3]
 
 
 def test_shadow_kernel_matches_generic_scan():
-    from shadowlab.verifier import _scan_block
-
     for claim, k in itertools.product(("shadow-colex-lower", "shadow-real-lower"), (2, 0)):
         space = InstanceSpace.make("all-families", n=4, k=k)
         via_kernel = verify(claim, space)
-        generic = _scan_block(CLAIMS[claim], space, {"_notes": {}}, None, None, 1000)
+        generic = verifier._scan(CLAIMS[claim], space, {"_notes": {}}, 1, None, 1000)
         assert via_kernel.checked == generic["checked"]
         assert via_kernel.skipped == generic["skipped"]
         assert via_kernel.violations == generic["violations"]
@@ -514,13 +576,11 @@ def test_cross_pair_claim_via_engine():
 
 
 def test_cross_stability_kernel_matches_generic_scan():
-    from shadowlab.verifier import _scan_block
-
     space = InstanceSpace.make("all-cross-pairs", n=5, a=2, b=2)
     via_kernel = verify("cross-diversity-stability", space)
-    generic = _scan_block(
+    generic = verifier._scan(
         CLAIMS["cross-diversity-stability"], space, {"u": 3, "v": 3, "_notes": {}},
-        None, None, 1000,
+        1, None, 1000,
     )
     assert via_kernel.exploratory
     assert via_kernel.checked == generic["checked"] == 45
