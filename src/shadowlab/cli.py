@@ -195,6 +195,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
+            if args.jobs < 1:
+                parser.error(f"--jobs must be at least 1, not {args.jobs}")
+            if args.budget is not None and args.budget < 0:
+                parser.error(f"--budget must be at least 0, not {args.budget}")
             params = {}
             for token in args.param:
                 key, _, value = token.partition("=")

@@ -69,18 +69,24 @@ def level_words(n: int, k: int) -> tuple[int, ...]:
 
 
 class Level(NamedTuple):
-    """The k-subsets of [n] in colex order, with their indices and shadows.
+    """The k-subsets of [n] in colex order, with their indices, shadows and
+    immediate shift predecessors.
 
     ``index[w]`` is the colex index of ``w`` (equal to ``colex_rank(w)``), and
     ``shadows[i]`` is the immediate shadow of ``words[i]`` as the colex
-    indices of its (k-1)-subsets (empty when k = 0).  Index tuples keep the
-    table near the size of the level itself; a bit mask over the (k-1)-level
-    per word would grow with the product of the two levels' sizes.
+    indices of its (k-1)-subsets (empty when k = 0).  ``shift_preds[i]``
+    holds the colex indices of the words that move one element j of
+    ``words[i]`` down to a free j - 1: the sets ``words[i]`` covers in the
+    shifting partial order, at most k of them and all of smaller index.
+    Index tuples keep the table near the size of the level itself; a bit
+    mask over the (k-1)-level per word would grow with the product of the
+    two levels' sizes.
     """
 
     words: tuple[int, ...]
     index: dict[int, int]
     shadows: tuple[tuple[int, ...], ...]
+    shift_preds: tuple[tuple[int, ...], ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -88,16 +94,22 @@ def level(n: int, k: int) -> Level:
     """The cached table of the k-level of [n]."""
     words = level_words(n, k)
     below = {w: i for i, w in enumerate(level_words(n, k - 1))}
+    index = {w: i for i, w in enumerate(words)}
     shadows = []
+    shift_preds = []
     for w in words:
         sub = []
+        preds = []
         ww = w
         while ww:
             low = ww & -ww
             sub.append(below[w ^ low])
+            if low > 1 and not w & (low >> 1):
+                preds.append(index[w ^ low ^ (low >> 1)])
             ww ^= low
         shadows.append(tuple(sub))
-    return Level(words, {w: i for i, w in enumerate(words)}, tuple(shadows))
+        shift_preds.append(tuple(preds))
+    return Level(words, index, tuple(shadows), tuple(shift_preds))
 
 
 def colex_rank(word: int) -> int:

@@ -14,6 +14,12 @@ worker building only its own instances; the reduction merges counterexample
 and witness lists in index order, so runs are reproducible regardless of
 the worker count.  Kernels and every other space run in one process.
 Unknown space parameters and a negative sample count are refused.
+
+A prepared check may carry a ``mask_filter``: a predicate on the level
+masks of all-families and of a uniform random-sample that rejects only
+instances the check itself would skip (not shifted, or not pairwise
+intersecting).  The scan of those spaces counts a rejected mask as skipped
+without building its Family, and hands every kept mask to the check.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .families import (
     InvariantViolation,
     complement_family,
     degree_vector,
-    elements_of,
     is_cross_t_intersecting,
     is_r_wise_t_intersecting,
     matching_number,
@@ -251,25 +256,28 @@ def _raw_iter(space: InstanceSpace):
 NUMBERED_KINDS = ("all-families", "random-sample")
 
 
-def _iter_numbered(space: InstanceSpace, lo: int, hi: int):
-    """Instances lo..hi-1 of a numbered space, each built from its index."""
+def _iter_numbered(space: InstanceSpace, lo: int, hi: int, keep=None):
+    """Instances lo..hi-1 of a numbered space, each built from its index.
+
+    With `keep`, a predicate on level masks, a mask it rejects yields None
+    instead of a Family; a non-uniform sample ignores `keep`."""
     n, k = space.get("n"), space.get("k")
-    if space.kind == "all-families":
-        words = level_words(n, k)
-        for mask in range(lo, hi):
-            yield _mask_family(n, k, words, mask)
-        return
     seed = space.get("seed", 0)
-    words = level_words(n, k) if k is not None else None
-    for idx in range(lo, hi):
-        rng = random.Random(seed * 1_000_003 + idx)
-        if words is not None:
-            yield _mask_family(n, k, words, rng.getrandbits(len(words)))
-            continue
-        if n > 16:
-            raise ValueError("non-uniform random sampling limited to n <= 16")
-        mask = rng.getrandbits(1 << n)
-        yield Family(n, (w for w in range(1 << n) if mask >> w & 1))
+    rngs = (random.Random(seed * 1_000_003 + idx) for idx in range(lo, hi))
+    if k is None:
+        for rng in rngs:
+            if n > 16:
+                raise ValueError("non-uniform random sampling limited to n <= 16")
+            mask = rng.getrandbits(1 << n)
+            yield Family(n, (w for w in range(1 << n) if mask >> w & 1))
+        return
+    words = level_words(n, k)
+    if space.kind == "all-families":
+        masks = range(lo, hi)
+    else:
+        masks = (rng.getrandbits(len(words)) for rng in rngs)
+    for mask in masks:
+        yield _mask_family(n, k, words, mask) if keep is None or keep(mask) else None
 
 
 def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
@@ -280,6 +288,61 @@ def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
         sel.append(words[low.bit_length() - 1])
         m ^= low
     return Family(n, sel, k=k if not sel else None)
+
+
+def _closure_filter(size: int, per_word, flip: int):
+    """The predicate on masks over a level of `size` words: True iff no word
+    i in the mask has a bit of per_word(i) in mask ^ flip.  Words are tried
+    from the highest index down, where a random mask most often fails
+    first, and per_word(i) is computed when word i is first tried: a sample
+    of a large level tries few of its words, and all the masks of a level
+    would take about size**2 / 8 bytes."""
+    known: list[int | None] = [None] * size
+
+    def keep(mask: int) -> bool:
+        bad = mask ^ flip
+        rest = mask
+        while rest:
+            top = rest.bit_length() - 1
+            bits = known[top]
+            if bits is None:
+                bits = known[top] = per_word(top)
+            if bits & bad:
+                return False
+            rest ^= 1 << top
+        return True
+
+    return keep
+
+
+@functools.lru_cache(maxsize=64)
+def _shifted_filter(n: int, k: int):
+    """Keeps exactly the shifted masks of the k-level of [n]: those holding
+    the immediate shift predecessors of each of their words."""
+    preds = level(n, k).shift_preds
+    return _closure_filter(
+        len(preds), lambda i: sum(1 << j for j in preds[i]), (1 << len(preds)) - 1
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _intersecting_filter(n: int, k: int):
+    """Keeps exactly the pairwise intersecting masks of the k-level of [n]:
+    no word is disjoint from a word of the mask, itself included."""
+    words = level_words(n, k)
+    return _closure_filter(
+        len(words),
+        lambda i: sum(1 << j for j, other in enumerate(words) if not words[i] & other),
+        0,
+    )
+
+
+def _with_mask_filter(check, space: InstanceSpace, make):
+    """The check, carrying make(n, k) as its mask_filter when the space
+    streams level masks: all-families or a uniform random-sample."""
+    if space.kind in NUMBERED_KINDS and space.get("k") is not None:
+        check.mask_filter = make(space.get("n"), space.get("k"))
+    return check
 
 
 def _iter_down_sets(pred: list[int]):
@@ -308,16 +371,13 @@ def _iter_down_sets(pred: list[int]):
 def _iter_shifted(n: int, k: int):
     """Down-sets of the shifting partial order on the k-level.
 
-    Words are indexed in colex order; a word may join only once all its
-    predecessors have, which enumerates exactly the shifted families.
+    Words are indexed in colex order; a word may join only once its
+    immediate shift predecessors have.  Those covering relations generate
+    the order, so this enumerates exactly the shifted families.
     """
-    words = level_words(n, k)
-    elems = [elements_of(w) for w in words]
-    pred_mask = [0] * len(words)
-    for i in range(len(words)):
-        for j in range(i):
-            if all(x <= y for x, y in zip(elems[j], elems[i])):
-                pred_mask[i] |= 1 << j
+    lvl = level(n, k)
+    words = lvl.words
+    pred_mask = [sum(1 << j for j in preds) for preds in lvl.shift_preds]
     for mask in _iter_down_sets(pred_mask):
         yield _mask_family(n, k, words, mask)
 
@@ -826,7 +886,7 @@ def _prep_restriction_boost(space, params):
             return "violation", f"restriction is not {r}-wise {t + r - 1}-intersecting"
         return "ok", None
 
-    return check
+    return _with_mask_filter(check, space, _shifted_filter)
 
 
 @_claim(
@@ -954,6 +1014,10 @@ def _prep_rwise_diversity(space, params):
             return "equality", None
         return "ok", None
 
+    # r-wise t-intersecting (repetition allowed) implies pairwise intersecting
+    # once r >= 2 and t >= 1; other values reach the check's own error
+    if r >= 2 and t >= 1:
+        return _with_mask_filter(check, space, _intersecting_filter)
     return check
 
 
@@ -1088,7 +1152,7 @@ def _prep_shifted_structure(space, params):
             return "violation", "max-degree witness is not element 1"
         return "ok", None
 
-    return check
+    return _with_mask_filter(check, space, _shifted_filter)
 
 
 @_claim(
@@ -1133,7 +1197,7 @@ def _prep_intersecting_diversity(space, params):
             return "skip", None
         return ("equality", None) if equal else ("ok", None)
 
-    return check
+    return _with_mask_filter(check, space, _intersecting_filter)
 
 
 def _as_number(value):
@@ -1169,31 +1233,35 @@ def _prep_t_intersecting_max(space, params):
     return check
 
 
-def _max_union_deficit(fam: Family, r: int) -> int:
+def _max_union_deficit(fam: Family, r: int, cap: int | None = None) -> int:
     """max over <= r members of |union|; memoized DFS mirror of the
-    intersection search."""
+    intersection search.  With a cap, the walk stops at the first union
+    larger than cap and returns its size instead."""
     members = fam.members
     best = 0
     searched: dict[tuple[int, int], int] = {}
+    cap = fam.n if cap is None else cap
 
-    def walk(start: int, union: int, left: int) -> None:
+    def walk(start: int, union: int, left: int) -> bool:
         nonlocal best
         if union.bit_count() > best:
             best = union.bit_count()
+            if best > cap:
+                return True
         if left == 0:
-            return
+            return False
         key = (union, left)
         prev = searched.get(key)
         if prev is not None and prev <= start:
-            return
+            return False
         for idx in range(start, len(members)):
             w = union | members[idx]
-            if w != union:
-                walk(idx + 1, w, left - 1)
+            if w != union and walk(idx + 1, w, left - 1):
+                return True
         searched[key] = start if prev is None else min(prev, start)
+        return False
 
-    for i in range(len(members)):
-        walk(i + 1, members[i], r - 1)
+    any(walk(i + 1, members[i], r - 1) for i in range(len(members)))
     return best
 
 
@@ -1205,7 +1273,7 @@ def is_r_wise_t_union(fam: Family, r: int, t: int) -> bool:
         raise ValueError("t must be >= 1")
     if len(fam) == 0:
         return True
-    return _max_union_deficit(fam, r) <= fam.n - t
+    return _max_union_deficit(fam, r, fam.n - t) <= fam.n - t
 
 
 @_claim(
@@ -1630,19 +1698,26 @@ def _claim_label(claim_id: str, params: dict) -> str:
 
 
 def _scan(spec, space, params, jobs, budget, max_recorded) -> dict:
-    """The generic scan.  A numbered space with jobs >= 2 is split into at
-    most `jobs` index ranges, checked in at most one worker process per CPU
-    and merged in range order; everything else is one block through
-    iter_space."""
+    """The generic scan.  A numbered space is checked by index range,
+    through the check's mask filter if it has one: with jobs >= 2 in at
+    most `jobs` ranges, checked in at most one worker process per CPU and
+    merged in range order, else as one range.  Every other space is one
+    stream through iter_space."""
+    numbered = space.kind in NUMBERED_KINDS
     blocks = []
-    if jobs > 1 and space.kind in NUMBERED_KINDS:
+    if jobs > 1 and numbered:
         total = space_size(space)
         _refuse_over_budget(space, total, budget)
         chunk = max(1, -(-total // jobs))
         blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     workers = min(len(blocks), os.cpu_count() or 1)
     if workers < 2:
-        return _check_stream(spec.prepare(space, params), iter_space(space, budget), max_recorded)
+        check = spec.prepare(space, params)
+        if not numbered:
+            return _check_stream(check, iter_space(space, budget), max_recorded)
+        total = space_size(space)
+        _refuse_over_budget(space, total, budget)
+        return _check_range(check, space, (0, total), max_recorded)
     plain = {k: v for k, v in params.items() if not k.startswith("_")}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -1667,6 +1742,9 @@ def _check_stream(check, stream, max_recorded: int) -> dict:
         "counterexamples": [], "equality_witnesses": [],
     }
     for inst in stream:
+        if inst is None:  # a level mask the check's mask filter rejected
+            tallies["skipped"] += 1
+            continue
         status, detail = check(inst)
         if status == "skip":
             tallies["skipped"] += 1
@@ -1685,11 +1763,18 @@ def _check_stream(check, stream, max_recorded: int) -> dict:
     return tallies
 
 
+def _check_range(check, space: InstanceSpace, block, max_recorded: int) -> dict:
+    """Check instances lo..hi-1 of a numbered space, building only those
+    that pass the check's mask filter."""
+    keep = getattr(check, "mask_filter", None)
+    return _check_stream(check, _iter_numbered(space, *block, keep), max_recorded)
+
+
 def _worker_scan(claim_id, space_text, params, block, max_recorded):
-    """Check instances lo..hi-1 of a numbered space, building only those."""
+    """A worker's range of a numbered space, checked in its own process."""
     space = InstanceSpace.parse(space_text)
     check = CLAIMS[claim_id].prepare(space, dict(params, _notes={}))
-    return _check_stream(check, _iter_numbered(space, *block), max_recorded)
+    return _check_range(check, space, block, max_recorded)
 
 
 def _merge_into(report: Report, tallies: dict, max_recorded: int) -> None:

@@ -159,6 +159,18 @@ def test_usage_error_exit_64():
     assert "count" in run_cli(
         ["verify", "--claim", "shadow-colex-lower", "--space", "random-sample:n=6,count=-1,k=3"]
     ).stderr
+    # worker counts below 1 and negative budgets are usage errors naming the flag
+    for flag, value in (("--jobs", "0"), ("--jobs", "-3"), ("--budget", "-1")):
+        out = run_cli(["verify", "--claim", "shadow-colex-lower",
+                       "--space", "all-families:n=4,k=2", flag, value])
+        assert out.returncode == 64, (flag, value, out.stderr)
+        assert f"error: {flag} must be at least" in out.stderr
+        assert "Traceback" not in out.stderr
+    # a zero budget is legal: it admits only an empty space
+    assert run_cli(["verify", "--claim", "shadow-colex-lower",
+                    "--space", "random-sample:n=6,count=0,k=3", "--budget", "0"]).returncode == 0
+    assert run_cli(["verify", "--claim", "shadow-colex-lower",
+                    "--space", "all-families:n=4,k=2", "--budget", "0"]).returncode == 3
     # --seed names a sample's seed; no other space has one
     for space in ("all-families:n=4,k=2", "constructions-grid:name=params,n=3..5"):
         out = run_cli(["verify", "--claim", "shadow-colex-lower", "--space", space, "--seed", "5"])

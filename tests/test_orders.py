@@ -11,6 +11,7 @@ from shadowlab.orders import (
     colex_rank,
     colex_segment,
     compare,
+    level,
     level_words,
     lex_segment,
 )
@@ -53,6 +54,22 @@ def test_shift_partial_implies_both_total_orders():
         if compare(a, b, "shift-partial") is Ordering.LESS:
             assert compare(a, b, "lex") is Ordering.LESS
             assert compare(a, b, "colex") is Ordering.LESS
+
+
+def test_shift_preds_generate_the_shifting_order():
+    for n in range(7):
+        for k in range(n + 1):
+            lvl = level(n, k)
+            below = []  # the words strictly below each word, from shift_preds alone
+            for i, preds in enumerate(lvl.shift_preds):
+                assert len(preds) <= k and all(j < i for j in preds)
+                below.append(0)
+                for j in preds:
+                    below[i] |= 1 << j | below[j]
+            for i, a in enumerate(lvl.words):
+                for j, b in enumerate(lvl.words):
+                    less = compare(b, a, "shift-partial") is Ordering.LESS
+                    assert bool(below[i] >> j & 1) == less, (n, k, a, b)
 
 
 def test_level_words_are_sorted_colex():

@@ -7,14 +7,14 @@ from concurrent.futures import Future
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import verifier
 from shadowlab.constructions import build
 from shadowlab.diversity import s_diversity
-from shadowlab.families import Family, matching_number
-from shadowlab.orders import level_words
+from shadowlab.families import Family, is_r_wise_t_intersecting, matching_number
+from shadowlab.orders import Ordering, compare, level_words
 from shadowlab.shifting import is_shifted
 from shadowlab.verifier import (
     CLAIMS,
@@ -422,8 +422,28 @@ def test_cross_t_product_bound_on_constructions_and_samples():
     assert len(pa) * len(pb) == bound_value("cross-t-product", n=45, k=3, t=2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=10),
+        st.integers(1, n),
+    )),
+    st.sampled_from([2, 3]),
+)
+def test_capped_union_search_keeps_the_verdict(case, r):
+    n, members, t = case
+    fam = Family(n, members)
+    assume(len(fam))
+    uncapped = verifier._max_union_deficit(fam, r)
+    capped = verifier._max_union_deficit(fam, r, n - t)
+    assert (capped <= n - t) == (uncapped <= n - t)
+    assert capped <= uncapped
+    assert is_r_wise_t_union(fam, r, t) == (uncapped <= n - t)
+
+
 def test_union_predicate_matches_complement_route():
-    from shadowlab.families import complement_family, is_r_wise_t_intersecting
+    from shadowlab.families import complement_family
 
     rng = random.Random(77)
     for _ in range(120):
@@ -459,6 +479,8 @@ def test_parallel_scan_matches_serial():
         ("shifted-structure", "all-families:n=4,k=2"),
         # 1001 samples split unevenly over 2 and 3 workers
         ("compression-shadow-monotone", "random-sample:count=1001,k=3,n=6,seed=4"),
+        # the intersecting mask filter, inside workers and on sampled masks
+        ("rwise-diversity", "random-sample:count=1001,k=3,n=6,seed=4"),
     ):
         assert (claim, space.partition(":")[0]) not in verifier.KERNELS
         serial = verify(claim, space, jobs=1)
@@ -484,6 +506,113 @@ def test_worker_builds_only_its_block(monkeypatch):
         "shifted-structure", "all-families:k=2,n=5", {}, (lo, hi), 1000
     )
     assert tallies["checked"] == len(built) == hi - lo
+
+
+# -- mask filters ---------------------------------------------------------------
+
+FILTERED = {
+    "shifted-structure": {},
+    "restriction-boost": {"r": 2, "t": 1},
+    "rwise-diversity": {"r": 3, "t": 1},
+    "intersecting-diversity-size": {},
+}
+
+
+def _prepared(claim, n, k):
+    space = InstanceSpace.make("all-families", n=n, k=k)
+    return CLAIMS[claim].prepare(space, dict(FILTERED[claim], _notes={}))
+
+
+def _shift_closure(words, mask):
+    """The mask with every word below one of its words in the shifting order."""
+    present = [w for i, w in enumerate(words) if mask >> i & 1]
+    return sum(
+        1 << i for i, w in enumerate(words)
+        if any(compare(w, v, "shift-partial") in (Ordering.LESS, Ordering.EQUAL)
+               for v in present)
+    )
+
+
+def _greedy_intersecting(words, mask):
+    """The words of the mask, in index order, kept while they meet every kept word."""
+    kept = []
+    for i, w in enumerate(words):
+        if mask >> i & 1 and w and all(w & v for v in kept):
+            kept.append(w)
+    return sum(1 << words.index(w) for w in kept)
+
+
+@st.composite
+def level_masks(draw):
+    """(n, k, mask) with n <= 8 and k drawn from 0, 1, n and anything
+    between.  The mask is raw, the shift closure of at most three words, a
+    substar at element 1, or greedily intersecting, so the filters see masks
+    they keep, and that the checks do not skip, as well as masks they reject."""
+    n = draw(st.integers(0, 8))
+    k = draw(st.sampled_from(sorted({0, min(1, n), n, draw(st.integers(0, n))})))
+    words = level_words(n, k)
+    mask = draw(st.integers(0, (1 << len(words)) - 1))
+    shape = draw(st.sampled_from(["raw", "shifted", "star", "intersecting"]))
+    if shape == "shifted":
+        # words drawn below a random limit, so small closures come up too
+        limit = draw(st.integers(0, len(words) - 1))
+        picks = draw(st.lists(st.integers(0, limit), max_size=3))
+        mask = _shift_closure(words, sum(1 << i for i in set(picks)))
+    elif shape == "star":
+        mask &= sum(1 << i for i, w in enumerate(words) if w & 1)
+    elif shape == "intersecting":
+        mask = _greedy_intersecting(words, mask)
+    return n, k, mask
+
+
+@pytest.mark.parametrize("claim", sorted(FILTERED))
+@settings(max_examples=200, deadline=None)
+@given(level_masks())
+def test_mask_filter_rejects_only_skipped_instances(claim, case):
+    n, k, mask = case
+    check = _prepared(claim, n, k)
+    if not check.mask_filter(mask):
+        fam = verifier._mask_family(n, k, level_words(n, k), mask)
+        assert check(fam)[0] == "skip"
+
+
+@pytest.mark.parametrize("n,k", [(3, 0), (4, 1), (3, 3), (4, 2), (5, 2), (5, 3), (4, 4)])
+def test_mask_filters_are_exact_on_small_levels(n, k):
+    words = level_words(n, k)
+    shifted = verifier._shifted_filter(n, k)
+    intersecting = verifier._intersecting_filter(n, k)
+    for mask in range(1 << len(words)):
+        fam = verifier._mask_family(n, k, words, mask)
+        assert shifted(mask) == is_shifted(fam), mask
+        assert intersecting(mask) == is_r_wise_t_intersecting(fam, 2, 1), mask
+
+
+def test_filtered_claims_carry_their_filter_only_on_level_masks():
+    for claim in FILTERED:
+        assert _prepared(claim, 5, 2).mask_filter(0)
+        spec = CLAIMS[claim]
+        for text in ("all-shifted-families:n=5,k=2", "random-sample:count=3,n=5"):
+            check = spec.prepare(InstanceSpace.parse(text), dict(FILTERED[claim], _notes={}))
+            assert not hasattr(check, "mask_filter")
+    # r below 2 or t below 1 is left to the check's own error
+    space = InstanceSpace.make("all-families", n=5, k=2)
+    check = CLAIMS["rwise-diversity"].prepare(space, {"r": 1, "t": 1, "_notes": {}})
+    assert not hasattr(check, "mask_filter")
+
+
+def test_shifted_scan_builds_only_shifted_families(monkeypatch):
+    built = []
+    mask_family = verifier._mask_family
+
+    def counting(*args):
+        built.append(args[-1])
+        return mask_family(*args)
+
+    monkeypatch.setattr(verifier, "_mask_family", counting)
+    rep = verify("shifted-structure", "all-families:n=6,k=3", jobs=1)
+    # the (6,3) level has 66 shifted families, and only they are built
+    assert len(built) == rep.checked == 66
+    assert rep.skipped == (1 << 20) - 66
 
 
 def test_worker_count_is_capped(monkeypatch):
