@@ -5,11 +5,18 @@ fixed-point iteration to a shifted family, colex compression with its
 shadow-monotonicity certificate, and the paired lex shift used for
 cross-intersecting families.  Every compression produces a replayable
 trace.
+
+One step rule serves every shift: `_daykin_pairs` returns the (old, new)
+word pairs a U<-V shift moves.  The Family-level shifts build their result
+from those pairs, and the step certificates read them: the element sum of
+`shift_to_shifted`, and the colex-rank sum and immediate-shadow counts that
+`compress_to_colex` carries between steps instead of a Family.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 
 from .families import (
@@ -20,7 +27,7 @@ from .families import (
     set_repr,
     word_of,
 )
-from .orders import colex_segment, level, level_words
+from .orders import level, level_words
 
 
 @dataclass(frozen=True)
@@ -82,9 +89,10 @@ class ShiftTrace:
     def replay(self, fam: Family) -> Family:
         for step in self.steps:
             if step.kind == "ij":
-                fam, moved = _daykin_words(fam, 1 << (step.i - 1), 1 << (step.j - 1))
+                fam, pairs = _daykin_words(fam, 1 << (step.i - 1), 1 << (step.j - 1))
             else:
-                fam, moved = _daykin_words(fam, step.u, step.v)
+                fam, pairs = _daykin_words(fam, step.u, step.v)
+            moved = len(pairs)
             if moved != step.moved:
                 raise InvariantViolation(
                     f"replay moved {moved} sets at {step.to_line()!r}"
@@ -128,48 +136,51 @@ def shift_to_shifted(fam: Family) -> tuple[Family, ShiftTrace]:
     """Apply i<-j shifts in sweeps over (i, j), i < j, until a clean sweep.
 
     Termination certificate: the total element sum strictly drops on every
-    recorded step.  Size, uniformity, r-wise t-intersection and the
-    matching number survive each step.
+    recorded step; the drop is summed over the moved (old, new) word pairs,
+    each word's element sum taken from the word itself.  Size, uniformity,
+    r-wise t-intersection and the matching number survive each step.
     """
     steps = []
     cur = fam
-    potential = sum(sum(elements_of(w)) for w in cur.members)
     changed = True
     while changed:
         changed = False
         for i in range(1, cur.n + 1):
             for j in range(i + 1, cur.n + 1):
-                nxt, moved = _daykin_words(cur, 1 << (i - 1), 1 << (j - 1))
-                if moved:
-                    new_potential = sum(sum(elements_of(w)) for w in nxt.members)
-                    if new_potential >= potential:
+                nxt, pairs = _daykin_words(cur, 1 << (i - 1), 1 << (j - 1))
+                if pairs:
+                    delta = sum(sum(elements_of(new)) - sum(elements_of(old)) for old, new in pairs)
+                    if delta >= 0:
                         raise InvariantViolation("element-sum potential did not drop")
-                    potential = new_potential
-                    steps.append(ShiftStep("ij", i=i, j=j, moved=moved))
+                    steps.append(ShiftStep("ij", i=i, j=j, moved=len(pairs)))
                     cur = nxt
                     changed = True
     return cur, ShiftTrace(tuple(steps))
 
 
-def _daykin_words(fam: Family, u: int, v: int) -> tuple[Family, int]:
+def _daykin_pairs(
+    members: Iterable[int], present: Container[int], u: int, v: int
+) -> list[tuple[int, int]]:
+    """The (old, new) word pairs of the U<-V step: every member holding V
+    and missing U moves to its image with V replaced by U when that image
+    is not in `present`."""
     uv = u | v
-    present = fam.member_set()
-    out = []
-    moved = 0
-    for w in fam.members:
-        if w & uv == v:
-            g = (w & ~v) | u
-            if g in present:
-                out.append(w)
-            else:
-                out.append(g)
-                moved += 1
-        else:
-            out.append(w)
-    res = Family(fam.n, out, k=fam.k if not out else None)
+    return [(w, g) for w in members if w & uv == v and (g := w ^ uv) not in present]
+
+
+def _daykin_words(fam: Family, u: int, v: int) -> tuple[Family, list[tuple[int, int]]]:
+    """The U<-V step on a Family, with the pairs it moved; the family itself
+    when nothing moved."""
+    pairs = _daykin_pairs(fam.members, fam.member_set(), u, v)
+    if not pairs:
+        return fam, pairs
+    olds = {old for old, _ in pairs}
+    out = [w for w in fam.members if w not in olds]
+    out += [new for _, new in pairs]
+    res = Family(fam.n, out)
     if len(res) != len(fam):
         raise InvariantViolation("shift changed the family size")
-    return res, moved
+    return res, pairs
 
 
 def daykin_shift(fam: Family, u: int, v: int) -> Family:
@@ -224,52 +235,89 @@ def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     return best_u, best_v
 
 
+class _Carried:
+    """The member state a compression carries between steps: the sorted
+    member list and the set of present words.  It shows the violation search
+    the part of a Family that the search reads."""
+
+    __slots__ = ("n", "k", "members", "present")
+
+    def __init__(self, fam: Family):
+        self.n, self.k = fam.n, fam.k
+        self.members = list(fam.members)
+        self.present = set(fam.members)
+
+    def member_set(self) -> set[int]:
+        return self.present
+
+
 def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
     """Apply colex-chosen Daykin shifts until the family is a colex segment.
 
-    Two runtime certificates are enforced at every step: the immediate
-    shadow never grows, and the sum of colex ranks strictly drops.  Both
-    are read from the cached level table: the shadow is the union of the
-    members' shadow index sets, and the rank sum changes by the colex
-    indices of the words a step writes minus those of the words it removes.
+    Between steps the compression carries its members (a sorted list and a
+    present set) and one count per (k-1)-set of how many members contain
+    it, with the number of nonzero counts: the immediate shadow size.  A
+    step touches only the (old, new) word pairs it moves, and every step
+    is certified from them and the cached level table:
+
+    - size: every image is free and the present set keeps its size;
+    - shadow: the new words' shadow counts go up and the old words' go
+      down, the size changing as a count leaves or reaches 0; it must
+      not grow;
+    - rank: the colex indices of the new words minus those of the old
+      words must sum below 0, so the colex-rank sum strictly drops.
+
+    The fixed point must be the colex segment of the family's size: the
+    first |F| words of the level.  The result is the one Family the
+    compression builds, and the input itself when no step moved.
     """
     if fam.k is None:
         raise ValueError("colex compression needs a uniform family")
     table = level(fam.n, fam.k)
     index, shadows = table.index, table.shadows
+    state = _Carried(fam)
+    members, present = state.members, state.present
+    size = len(present)
+    counts = [0] * len(level_words(fam.n, fam.k - 1))
+    for w in members:
+        for s in shadows[index[w]]:
+            counts[s] += 1
+    shadow_size = len(counts) - counts.count(0)
     steps = []
-    cur = fam
-    track_shadow = cur.k >= 1 and len(cur) > 0
-    cur_shadow = _shadow_size(cur, index, shadows) if track_shadow else 0
-    while True:
-        hit = find_colex_violation(cur)
-        if hit is None:
-            break
+    while (hit := find_colex_violation(state)) is not None:
         u, v = hit
-        nxt, moved = _daykin_words(cur, u, v)
-        if track_shadow:
-            nxt_shadow = _shadow_size(nxt, index, shadows)
-            if nxt_shadow > cur_shadow:
-                raise InvariantViolation(
-                    f"immediate shadow grew {cur_shadow} -> {nxt_shadow} under "
-                    f"U={set_repr(u)} V={set_repr(v)}"
-                )
-            cur_shadow = nxt_shadow
-        old, new = cur.member_set(), nxt.member_set()
-        rank_delta = sum(index[w] for w in new - old) - sum(index[w] for w in old - new)
-        if rank_delta >= 0:
+        pairs = _daykin_pairs(members, present, u, v)
+        grown, delta = shadow_size, 0
+        for old, new in pairs:
+            present.discard(old)
+            present.add(new)
+            del members[bisect_left(members, old)]
+            insort(members, new)
+            i, j = index[new], index[old]
+            delta += i - j
+            for s in shadows[i]:
+                if not counts[s]:
+                    grown += 1
+                counts[s] += 1
+            for s in shadows[j]:
+                counts[s] -= 1
+                if not counts[s]:
+                    grown -= 1
+        if len(present) != size:
+            raise InvariantViolation("shift changed the family size")
+        if grown > shadow_size:
+            raise InvariantViolation(
+                f"immediate shadow grew {shadow_size} -> {grown} under "
+                f"U={set_repr(u)} V={set_repr(v)}"
+            )
+        if delta >= 0:
             raise InvariantViolation("colex-rank potential did not drop")
-        steps.append(ShiftStep("daykin", u=u, v=v, moved=moved))
-        cur = nxt
-    target = colex_segment(fam.n, len(fam), fam.k)
-    if cur.members != target.members:
+        shadow_size = grown
+        steps.append(ShiftStep("daykin", u=u, v=v, moved=len(pairs)))
+    if tuple(members) != table.words[:size]:
         raise InvariantViolation("compression fixed point is not the colex segment")
-    return cur, ShiftTrace(tuple(steps))
-
-
-def _shadow_size(fam: Family, index: dict[int, int], shadows: tuple[tuple[int, ...], ...]) -> int:
-    """|immediate shadow| of a family, read from its level's table."""
-    return len(set().union(*[shadows[index[w]] for w in fam.members]))
+    out = Family(fam.n, members, k=fam.k) if steps else fam
+    return out, ShiftTrace(tuple(steps))
 
 
 def _lex_violation(fam: Family) -> tuple[int, tuple, tuple, int, int] | None:

@@ -398,6 +398,81 @@ def test_compress_certificates_raise(monkeypatch):
         compress_to_colex(fam(3, [2, 3]))
 
 
+def test_compress_builds_one_family_and_searches_once_per_step(monkeypatch):
+    # the compression carries member words between steps: the only Family
+    # it builds is its result, and every search goes through the module name
+    f = Family(6, level_words(6, 3)[-6:])
+    builds, searches = [], []
+    init = families.Family.__init__
+    search = shifting.find_colex_violation
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_search(x):
+        searches.append(1)
+        return search(x)
+
+    monkeypatch.setattr(families.Family, "__init__", counting_init)
+    monkeypatch.setattr(shifting, "find_colex_violation", counting_search)
+    out, tr = compress_to_colex(f)
+    assert len(tr) >= 10
+    assert len(builds) <= 2
+    assert len(searches) == len(tr) + 1
+    assert out == colex_segment(6, 6, 3)
+
+
+@st.composite
+def forced_steps(draw, max_n=7):
+    """A uniform family of a few members and a disjoint, equal-size (U, V)
+    with V inside a member and U outside it, so that the U<-V step moves
+    that member unless its image is taken."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, n))
+    words = level_words(n, k)
+    members = draw(st.lists(st.sampled_from(words), unique=True, min_size=1, max_size=len(words)))
+    inside = elements_of(draw(st.sampled_from(members)))
+    outside = [e for e in range(1, n + 1) if e not in inside]
+    most = min(len(inside), len(outside))
+    size = draw(st.integers(min(1, most), most))
+    v = draw(st.permutations(inside))[:size]
+    u = draw(st.permutations(outside))[:size]
+    return Family(n, members), word_of(u), word_of(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forced_steps())
+@example((Family(6, (), k=3), 0, 0))
+@example((Family(4, [0]), 0, 0))
+@example((fam(6, [1, 2], [1, 3], [2, 3]), w(4, 5), w(1, 2)))
+def test_step_certificates_match_recomputation(step):
+    # one forced step: the carried counts must raise exactly when the
+    # recomputed shadow grows or the recomputed colex-rank sum does not drop
+    f, u, v = step
+    after = daykin_shift(f, u, v)
+    k = f.k
+    a = len(shadow(f, k - 1)) if k >= 1 else 0
+    b = len(shadow(after, k - 1)) if k >= 1 else 0
+    rank_drops = sum(map(colex_rank, after.members)) < sum(map(colex_rank, f.members))
+    with pytest.MonkeyPatch.context() as mp:
+        _force_steps(mp, (u, v))
+        if b > a:
+            with pytest.raises(InvariantViolation, match=f"immediate shadow grew {a} -> {b} under"):
+                compress_to_colex(f)
+        elif not rank_drops:
+            with pytest.raises(InvariantViolation, match="colex-rank potential did not drop"):
+                compress_to_colex(f)
+        elif after != colex_segment(f.n, len(f), k):
+            with pytest.raises(InvariantViolation, match="fixed point is not the colex segment"):
+                compress_to_colex(f)
+        else:
+            out, tr = compress_to_colex(f)
+            assert out == after
+            moved = len(after.member_set() - f.member_set())
+            assert tr.steps == (ShiftStep("daykin", u=u, v=v, moved=moved),)
+
+
 def test_daykin_step_checks_family_size():
     # a corrupted family that lists a member twice: both copies move to the
     # same image, and the step refuses the smaller result
