@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import (
     Family,
@@ -30,8 +31,9 @@ from .families import (
 from .orders import level, level_words
 
 
-@dataclass(frozen=True)
-class ShiftStep:
+class ShiftStep(NamedTuple):
+    """One recorded shift; it compares equal to the plain tuple of its fields."""
+
     kind: str          # "ij" or "daykin"
     i: int = 0         # ij form
     j: int = 0
@@ -324,25 +326,37 @@ def _lex_violation(fam: Family) -> tuple[int, tuple, tuple, int, int] | None:
     """Minimal lex-violating pair for one family.
 
     Key is (|U|, elements(V), elements(U)); returns (size, eV, eU, u, v)
-    or None when the family is a lex initial segment.
+    or None when the family is a lex initial segment.  Candidates are
+    compared on their words: for equal-size sets x != y, elements(x) <
+    elements(y) exactly when x holds the lowest bit of x ^ y.
     """
     present = fam.member_set()
-    best = None
+    members = fam.members
+    best_size = 0
+    best_u = best_v = 0
     for g in level_words(fam.n, fam.k):
         if g in present:
             continue
-        for f in fam.members:
-            if f == g:
-                continue
+        for f in members:
             diff = f ^ g
             if not g & (diff & -diff):
                 continue  # f precedes g in lex
-            u = g & ~f
-            v = f & ~g
-            key = (u.bit_count(), elements_of(v), elements_of(u), u, v)
-            if best is None or key < best:
-                best = key
-    return best
+            u = g & diff
+            v = f & diff
+            size = u.bit_count()
+            if best_size:
+                if size > best_size:
+                    continue
+                if size == best_size:
+                    x, d = v, v ^ best_v
+                    if not d:
+                        x, d = u, u ^ best_u
+                    if not x & (d & -d):
+                        continue  # (V, U) is not lex-before the best; equal when d == 0
+            best_size, best_u, best_v = size, u, v
+    if not best_size:
+        return None
+    return best_size, elements_of(best_v), elements_of(best_u), best_u, best_v
 
 
 def cross_lex_shift_step(

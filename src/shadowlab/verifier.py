@@ -30,7 +30,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import ceil, comb, log
@@ -652,7 +651,7 @@ def _prep_shadow_real(space, params):
     spaces=("all-cross-pairs",),
 )
 def _prep_cross_unbalanced(space, params):
-    n, a, b = space.get("n"), space.get("a"), space.get("b")
+    n, a, b = _cross_theorem_range(space)
     thr_a = comb(n - 1, a - 1)
     cap_b = comb(n - 1, b - 1)
 
@@ -675,14 +674,17 @@ def _prep_cross_unbalanced(space, params):
     spaces=("all-cross-pairs",),
 )
 def _prep_cross_shadow(space, params):
-    n, a, b = space.get("n"), space.get("a"), space.get("b")
+    n, a, b = _cross_theorem_range(space)
+
+    @functools.cache
+    def cap_for(size_a: int) -> float:
+        return comb(n, b) - gbinom(inv_gbinom(size_a, n - a), b)
 
     def check(inst):
         fam_a, fam_b = inst
         if len(fam_a) < 1 or n == a:
             return "skip", None
-        x = inv_gbinom(len(fam_a), n - a)
-        cap = comb(n, b) - gbinom(x, b)
+        cap = cap_for(len(fam_a))
         tol = 1e-9 * max(1.0, comb(n, b))
         if len(fam_b) > cap + tol:
             return "violation", f"|B|={len(fam_b)} > {cap:.9f}"
@@ -701,16 +703,21 @@ def _prep_cross_shadow(space, params):
 )
 def _prep_cross_lex_segments(space, params):
     n, a, b = space.get("n"), space.get("a"), space.get("b")
+    segment = functools.cache(lex_segment)
 
-    def check(inst):
-        fam_a, fam_b = inst
-        seg_a = lex_segment(n, len(fam_a), a)
-        seg_b = lex_segment(n, len(fam_b), b)
+    @functools.cache
+    def verdict(size_a: int, size_b: int) -> tuple[str, str | None]:
+        seg_a = segment(n, size_a, a)
+        seg_b = segment(n, size_b, b)
         if len(seg_a) == 0 or len(seg_b) == 0:
             return "ok", None
         if not is_cross_t_intersecting([seg_a, seg_b], 1):
             return "violation", "lex segments are not cross-intersecting"
         return "ok", None
+
+    def check(inst):
+        fam_a, fam_b = inst
+        return verdict(len(fam_a), len(fam_b))
 
     return check
 
@@ -765,6 +772,7 @@ def _prep_compression_monotone(space, params):
 )
 def _prep_cross_shift(space, params):
     n, a, b = space.get("n"), space.get("a"), space.get("b")
+    segment = functools.cache(lex_segment)
 
     def check(inst):
         fam_a, fam_b = inst
@@ -779,23 +787,30 @@ def _prep_cross_shift(space, params):
             return "violation", str(exc)
         if len(fam_a) != size_a or len(fam_b) != size_b:
             return "violation", "sizes changed along the shift"
-        if fam_a != lex_segment(n, size_a, a) or fam_b != lex_segment(n, size_b, b):
+        if fam_a != segment(n, size_a, a) or fam_b != segment(n, size_b, b):
             return "violation", "fixed point is not a pair of lex segments"
         return "ok", None
 
     return check
 
 
+def _cross_theorem_range(space: InstanceSpace) -> tuple[int, int, int]:
+    """(n, a, b) of a cross-pair space, refused when n < a+b: there every
+    a-set meets every b-set, outside the cross-pair theorems' range."""
+    n, a, b = space.get("n"), space.get("a"), space.get("b")
+    if n < a + b:
+        raise ValueError("need n >= a+b")
+    return n, a, b
+
+
 def _stability_thresholds(space: InstanceSpace, params: dict):
     """(threshold_a, threshold_b, cap_a, cap_b) of the cross-pair stability
     claim: the size thresholds of its hypothesis and the diversity caps of
     its conclusion."""
-    n, a, b = space.get("n"), space.get("a"), space.get("b")
     u, v = int(params["u"]), int(params["v"])
     if u < 3 or v < 3:
         raise ValueError("need u >= 3 and v >= 3")
-    if n < a + b:
-        raise ValueError("need n >= a+b")
+    n, a, b = _cross_theorem_range(space)
     cap_a = gbinom(n - u - 1, n - a - 1)
     cap_b = gbinom(n - v - 1, n - b - 1)
     thr_a = gbinom(n - 1, a - 1) - gbinom(n - v - 1, a - 1) + cap_a
@@ -1718,6 +1733,8 @@ def _scan(spec, space, params, jobs, budget, max_recorded) -> dict:
         total = space_size(space)
         _refuse_over_budget(space, total, budget)
         return _check_range(check, space, (0, total), max_recorded)
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when a pool starts
+
     plain = {k: v for k, v in params.items() if not k.startswith("_")}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [

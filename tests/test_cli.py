@@ -146,6 +146,9 @@ def test_usage_error_exit_64():
         ("shadow-colex-lower", "all-shifted-families:n=6"),
         ("shadow-colex-lower", "random-sample:n=6,k=3"),
         ("cross-lex-segments", "all-cross-pairs:n=5,a=2"),
+        # below n = a+b every a-set meets every b-set: outside the theorems
+        ("cross-shadow-size", "all-cross-pairs:n=3,a=2,b=2"),
+        ("cross-unbalanced-size", "all-cross-pairs:n=3,a=2,b=2"),
         ("shadow-colex-lower", "constructions-grid:name=nope,n=3..5"),
         ("shadow-colex-lower", "random-sample:n=6,count=3,k=abc"),
         ("shadow-colex-lower", "random-sample:n=6,count=3,k=2.5"),
@@ -184,6 +187,14 @@ def test_verify_empty_random_sample(jobs):
                    "--space", "random-sample:n=6,count=0,k=3"])
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["checked"] == 0
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool's module, and multiprocessing with it, loads only when a scan starts workers
+    probe = "import sys, shadowlab.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_io_error_exit_74():

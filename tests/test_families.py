@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowlab import families
 from shadowlab.families import (
     Family,
     _common_core_at_least,
     _cross_t_search,
+    _cube_t_intersecting,
+    _pair_t_intersecting,
     complement_family,
     degree,
     degree_vector,
@@ -23,7 +26,7 @@ from shadowlab.families import (
     trace,
     word_of,
 )
-from shadowlab.constructions import a2_family, build, l_family
+from shadowlab.constructions import a2_family, build, kalai_circle, l_family
 from shadowlab.orders import level_words
 
 
@@ -261,6 +264,11 @@ def test_cross_common_core_agrees_with_search(n, t, r, shared, data):
     if shared:
         assert _common_core_at_least(fams, t)
     assert is_cross_t_intersecting(fams, t) == _cross_t_search(fams, t)
+    # two families without a shared core take the direct pair loop
+    pair = fams[:2]
+    assert is_cross_t_intersecting(pair, t) == _cross_t_search(pair, t)
+    brute = all((wa & wb).bit_count() >= t for wa in pair[0] for wb in pair[1])
+    assert is_cross_t_intersecting(pair, t) == brute
 
 
 def test_r_wise_examples():
@@ -284,6 +292,51 @@ def test_r_wise_matches_naive_tuples():
                 for tup in itertools.product(f.members, repeat=r)
             )
             assert is_r_wise_t_intersecting(f, r, t) == naive, (sel, r, t)
+
+
+@st.composite
+def dense_families(draw):
+    """Random dense, up-closed, threshold and single-member families and the
+    full power set, over [n] with n <= 10."""
+    n = draw(st.integers(0, 10))
+    cube = range(1 << n)
+    kind = draw(st.sampled_from(("random", "up", "threshold", "single", "all")))
+    if kind == "random":
+        words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=200))
+    elif kind == "up":
+        gens = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+        words = [w for w in cube if any(w & g == g for g in gens)]
+    elif kind == "threshold":
+        low = draw(st.integers(0, n))
+        words = [w for w in cube if w.bit_count() >= low]
+    elif kind == "single":
+        words = [draw(st.integers(0, (1 << n) - 1))]
+    else:
+        words = list(cube)
+    return Family(n, words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_families(), st.data())
+def test_cube_test_matches_pair_loop(f, data):
+    t = data.draw(st.integers(1, f.n + 1))
+    assert _cube_t_intersecting(f, t) == _pair_t_intersecting(f, t)
+
+
+def test_circle_family_takes_cube_path(monkeypatch):
+    taken = []
+
+    def cube(fam, t):
+        taken.append((fam.n, t))
+        return _cube_t_intersecting(fam, t)
+
+    monkeypatch.setattr(families, "_cube_t_intersecting", cube)
+    circle = kalai_circle(15)
+    assert is_r_wise_t_intersecting(circle, 2, 1)
+    assert not is_r_wise_t_intersecting(circle, 2, 2)
+    # the pair loop keeps small ground sets, even the full power set
+    assert not is_r_wise_t_intersecting(Family(5, range(1 << 5)), 2, 1)
+    assert taken == [(15, 1), (15, 2)]
 
 
 def _inter(words):

@@ -152,6 +152,9 @@ def test_shift_to_shifted_two_steps():
     out, tr = shift_to_shifted(fam(3, [2, 3]))
     assert out.members == (w(1, 2),)
     assert [s.to_line() for s in tr.steps] == ["ij 1 2 moved=1", "ij 2 3 moved=1"]
+    # a step is a named tuple: equal to the plain tuple of its fields
+    assert tr.steps[0] == ("ij", 1, 2, 0, 0, 1)
+    assert ShiftStep.from_line("ij 1 2 moved=1") == tr.steps[0]
 
 
 def test_shift_to_shifted_terminates_within_potential():
@@ -483,6 +486,32 @@ def test_daykin_step_checks_family_size():
 
 
 # -- cross lex shift -------------------------------------------------------------
+
+
+def _lex_violation_reference(f):
+    """The minimal lex-violating pair by tuple keys (|U|, elements(V), elements(U))."""
+    present = f.member_set()
+    best = None
+    for g in level_words(f.n, f.k):
+        if g in present:
+            continue
+        for m in f.members:
+            diff = m ^ g
+            if not g & (diff & -diff):
+                continue
+            u, v = g & ~m, m & ~g
+            key = (u.bit_count(), elements_of(v), elements_of(u), u, v)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(uniform_families(max_n=7, max_k=7))
+@example(lex_segment(6, 7, 3))
+@example(Family(5, level_words(5, 2)))
+def test_lex_violation_matches_tuple_keys(f):
+    assert shifting._lex_violation(f) == _lex_violation_reference(f)
 
 
 def test_cross_shift_none_on_lex_segments():

@@ -1,5 +1,6 @@
 """Instance spaces, the claim engine, reports and their replay guarantees."""
 
+import concurrent.futures
 import itertools
 import json
 import random
@@ -213,6 +214,35 @@ def test_cross_shadow_size_claim():
 def test_cross_lex_segments_claim():
     rep = verify("cross-lex-segments", "all-cross-pairs:a=2,b=2,n=4")
     assert rep.violations == 0
+
+
+def test_cross_pair_checks_compute_once_per_size(monkeypatch):
+    space = "all-cross-pairs:n=5,a=2,b=2"
+    inv_calls = []
+    inv_gbinom = verifier.inv_gbinom
+
+    def counting_inv(m, k):
+        inv_calls.append(m)
+        return inv_gbinom(m, k)
+
+    monkeypatch.setattr(verifier, "inv_gbinom", counting_inv)
+    rep = verify("cross-shadow-size", space)
+    assert rep.checked == 5188
+    # the cap depends on |A| alone: one inverse binomial per size of A
+    assert len(inv_calls) == len(set(inv_calls)) <= comb(5, 2)
+
+    lex_segment = verifier.lex_segment
+    for claim in ("cross-lex-segments", "cross-shift-preserves"):
+        seg_calls = []
+
+        def counting_segment(n, t, k):
+            seg_calls.append((k, t))
+            return lex_segment(n, t, k)
+
+        monkeypatch.setattr(verifier, "lex_segment", counting_segment)
+        assert verify(claim, space).checked == 6212
+        # one segment per (side, size): a = b here, so the sides share them
+        assert len(seg_calls) == len(set(seg_calls)) <= comb(5, 2) + 1, claim
 
 
 def test_shifted_correlation_claim_with_full_level_witness():
@@ -635,7 +665,8 @@ def test_worker_count_is_capped(monkeypatch):
             done.set_result(fn(*args))
             return done
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlineExecutor)
+    # the scan imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
     serial = verify("shifted-structure", "all-families:n=4,k=2", jobs=1)
     for jobs in (3, 1000):
