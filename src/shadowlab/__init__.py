@@ -45,14 +45,7 @@ from .diversity import (
     total_influence,
 )
 from .constructions import build, kalai_circle, kalai_member
-from .verifier import (
-    BudgetExceeded,
-    InstanceSpace,
-    Report,
-    iter_space,
-    reverify,
-    verify,
-    verify_cross_pair_space,
-)
+from .spaces import BudgetExceeded, InstanceSpace, iter_space
+from .verifier import Report, reverify, verify, verify_cross_pair_space
 
 __version__ = "0.1.0"

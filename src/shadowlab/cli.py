@@ -48,6 +48,14 @@ def _read_family(path: str | None) -> Family:
         raise SystemExit(EX_IOERR)
 
 
+def _required(parser, args, wanted) -> dict:
+    """The values of the flags `args.name` needs; a missing one is a usage error."""
+    for flag in wanted:
+        if getattr(args, flag, None) is None:
+            parser.error(f"{args.command} {args.name} needs --{flag}")
+    return {flag: getattr(args, flag) for flag in wanted}
+
+
 def _num(text: str):
     try:
         return int(text)
@@ -110,13 +118,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "construct":
-            wanted = CONSTRUCTIONS[args.name][1]
-            params = {}
-            for flag in wanted:
-                value = getattr(args, flag, None)
-                if value is None:
-                    parser.error(f"construct {args.name} needs --{flag}")
-                params[flag] = value
+            params = _required(parser, args, CONSTRUCTIONS[args.name][1])
             sys.stdout.write(build(args.name, **params).to_text())
             return 0
 
@@ -175,14 +177,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "bound":
-            wanted = BOUND_NAMES[args.name][1]
-            params = {}
-            for flag in wanted:
-                value = getattr(args, flag, None)
-                if value is None:
-                    parser.error(f"bound {args.name} needs --{flag}")
-                params[flag] = value
-            print(bound_value(args.name, **params))
+            print(bound_value(args.name, **_required(parser, args, BOUND_NAMES[args.name][1])))
             return 0
 
         if args.command == "influence":

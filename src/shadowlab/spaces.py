@@ -1,0 +1,413 @@
+"""Instance spaces: deterministic streams of the families, pairs, graphs or
+construction-grid points a claim is checked on.
+
+A space is a kind and its parameters, parsed from and described as text
+such as ``all-families:k=3,n=6``.  Unknown kinds and parameters, non-integer
+values and a negative sample count are refused.  A budget bounds every
+stream: a space whose size is known up front is refused before it starts,
+any other is stopped as it streams.
+
+The numbered spaces, all-families and random-sample, build instance i from
+i alone, so a scan can check any index range of them by itself.  On their
+level masks a ``mask_filter`` (shifted, or pairwise intersecting) can
+reject an instance before its Family is built.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import os
+import random
+from dataclasses import dataclass
+from math import comb
+
+from .constructions import CONSTRUCTIONS, build
+from .families import Family
+from .orders import level, level_words
+
+DEFAULT_BUDGET = 1 << 26
+
+
+class BudgetExceeded(RuntimeError):
+    """The instance space is larger than the configured budget."""
+
+
+# Each kind's required parameters, then the optional ones checked when
+# present; no others are accepted, except the grid's axes.  All are integers
+# except the grid's name, which is "params" or a key of CONSTRUCTIONS, and a
+# sample's count may not be negative.
+SPACE_KINDS = {
+    "all-families": (("n", "k"), ()),
+    "all-shifted-families": (("n", "k"), ()),
+    "all-cross-pairs": (("n", "a", "b"), ()),
+    "all-graphs": (("n",), ()),
+    "all-up-sets": (("n",), ()),
+    "constructions-grid": (("name",), ()),
+    "random-sample": (("n", "count"), ("k", "seed")),
+}
+
+
+@dataclass(frozen=True)
+class InstanceSpace:
+    kind: str
+    params: tuple[tuple[str, object], ...]
+
+    @classmethod
+    def make(cls, kind: str, **params) -> "InstanceSpace":
+        if kind not in SPACE_KINDS:
+            raise ValueError(f"unknown space kind {kind!r}; know {tuple(SPACE_KINDS)}")
+        required, optional = SPACE_KINDS[kind]
+        unknown = sorted(set(params) - set(required + optional))
+        if unknown and kind != "constructions-grid":
+            raise ValueError(f"{kind} takes no parameter {', '.join(unknown)}")
+        for key in required + tuple(key for key in optional if key in params):
+            val = params.get(key)
+            if key == "name":
+                if val != "params" and val not in CONSTRUCTIONS:
+                    raise ValueError(
+                        f"{kind} needs name=params or one of {sorted(CONSTRUCTIONS)}"
+                    )
+            elif not isinstance(val, int):
+                raise ValueError(f"{kind} needs an integer {key}=...")
+            elif key == "count" and val < 0:
+                raise ValueError(f"{kind} needs count >= 0, not {val}")
+        return cls(kind, tuple(sorted(params.items())))
+
+    def get(self, name: str, default=None):
+        for key, val in self.params:
+            if key == name:
+                return val
+        return default
+
+    def describe(self) -> str:
+        body = ",".join(f"{k}={_format_value(v)}" for k, v in self.params)
+        return f"{self.kind}:{body}" if body else self.kind
+
+    @classmethod
+    def parse(cls, text: str) -> "InstanceSpace":
+        kind, _, body = text.partition(":")
+        params = {}
+        if body:
+            for tok in body.split(","):
+                key, _, val = tok.partition("=")
+                if not key or not val:
+                    raise ValueError(f"bad space parameter {tok!r}")
+                params[key] = _parse_value(val)
+        return cls.make(kind, **params)
+
+
+def _parse_value(text: str):
+    if ".." in text:
+        lo, _, hi = text.partition("..")
+        return ("range", int(lo), int(hi))
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+
+def _format_value(val) -> str:
+    if isinstance(val, tuple) and val and val[0] == "range":
+        return f"{val[1]}..{val[2]}"
+    return str(val)
+
+
+def space_size(space: InstanceSpace) -> int | None:
+    """Exact instance count when cheaply known; None when only streaming tells."""
+    kind = space.kind
+    if kind == "all-families":
+        return 1 << comb(space.get("n"), space.get("k"))
+    if kind == "all-graphs":
+        n = space.get("n")
+        total = 0
+        for j in range(n + 1):
+            total += (-1) ** j * comb(n, j) * (1 << comb(n - j, 2))
+        return total
+    if kind == "random-sample":
+        return space.get("count")
+    if kind == "constructions-grid":
+        total = 1
+        for key, val in space.params:
+            if key == "name":
+                continue
+            total *= len(_axis_values(val))
+        return total
+    return None
+
+
+def _axis_values(val) -> list:
+    if isinstance(val, tuple) and val and val[0] == "range":
+        return list(range(val[1], val[2] + 1))
+    return [val]
+
+
+def _grid_points(space: InstanceSpace):
+    axes = [(k, _axis_values(v)) for k, v in space.params if k != "name"]
+    names = [k for k, _ in axes]
+    for combo in itertools.product(*(vals for _, vals in axes)):
+        yield dict(zip(names, combo))
+
+
+def iter_space(space: InstanceSpace, budget: int | None = None):
+    """Deterministic instance stream; raises BudgetExceeded past the budget."""
+    budget = _effective_budget(budget)
+    known = space_size(space)
+    if known is not None:
+        _refuse_over_budget(space, known, budget)
+    count = 0
+    for inst in _raw_iter(space):
+        count += 1
+        if count > budget:
+            raise BudgetExceeded(
+                f"{space.describe()} exceeded the budget of {budget} instances"
+            )
+        yield inst
+
+
+def _effective_budget(budget: int | None) -> int:
+    if budget is not None:
+        return budget
+    env = os.environ.get("SHADOWLAB_BUDGET")
+    return int(env) if env else DEFAULT_BUDGET
+
+
+def _refuse_over_budget(space: InstanceSpace, total: int, budget: int | None) -> None:
+    eff = _effective_budget(budget)
+    if total > eff:
+        raise BudgetExceeded(f"{space.describe()} holds {total} instances; budget {eff}")
+
+
+def _raw_iter(space: InstanceSpace):
+    kind = space.kind
+    if kind in NUMBERED_KINDS:
+        yield from _iter_numbered(space, 0, space_size(space))
+    elif kind == "all-shifted-families":
+        yield from _iter_shifted(space.get("n"), space.get("k"))
+    elif kind == "all-cross-pairs":
+        yield from _iter_cross_pairs(space.get("n"), space.get("a"), space.get("b"))
+    elif kind == "all-graphs":
+        yield from _iter_graphs(space.get("n"))
+    elif kind == "all-up-sets":
+        yield from _iter_up_sets(space.get("n"))
+    else:  # constructions-grid
+        name = space.get("name")
+        for params in _grid_points(space):
+            if name == "params":
+                yield params, None
+                continue
+            wanted = CONSTRUCTIONS[name][1]
+            try:
+                fam = build(name, **{p: params[p] for p in wanted})
+            except (ValueError, KeyError):
+                yield params, None
+                continue
+            yield params, fam
+
+
+# Spaces whose instance i is computed from i alone: mask i of the level, or
+# sample i of the seed.  Only these are split into index ranges over workers.
+NUMBERED_KINDS = ("all-families", "random-sample")
+
+
+def _iter_numbered(space: InstanceSpace, lo: int, hi: int, keep=None):
+    """Instances lo..hi-1 of a numbered space, each built from its index.
+
+    With `keep`, a predicate on level masks, a mask it rejects yields None
+    instead of a Family; a non-uniform sample ignores `keep`."""
+    n, k = space.get("n"), space.get("k")
+    seed = space.get("seed", 0)
+    rngs = (random.Random(seed * 1_000_003 + idx) for idx in range(lo, hi))
+    if k is None:
+        for rng in rngs:
+            if n > 16:
+                raise ValueError("non-uniform random sampling limited to n <= 16")
+            mask = rng.getrandbits(1 << n)
+            yield Family(n, (w for w in range(1 << n) if mask >> w & 1))
+        return
+    words = level_words(n, k)
+    if space.kind == "all-families":
+        masks = range(lo, hi)
+    else:
+        masks = (rng.getrandbits(len(words)) for rng in rngs)
+    for mask in masks:
+        yield _mask_family(n, k, words, mask) if keep is None or keep(mask) else None
+
+
+def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
+    sel = []
+    m = mask
+    while m:
+        low = m & -m
+        sel.append(words[low.bit_length() - 1])
+        m ^= low
+    return Family(n, sel, k=k if not sel else None)
+
+
+def _closure_filter(size: int, per_word, flip: int):
+    """The predicate on masks over a level of `size` words: True iff no word
+    i in the mask has a bit of per_word(i) in mask ^ flip.  Words are tried
+    from the highest index down, where a random mask most often fails
+    first, and per_word(i) is computed when word i is first tried: a sample
+    of a large level tries few of its words, and all the masks of a level
+    would take about size**2 / 8 bytes."""
+    known: list[int | None] = [None] * size
+
+    def keep(mask: int) -> bool:
+        bad = mask ^ flip
+        rest = mask
+        while rest:
+            top = rest.bit_length() - 1
+            bits = known[top]
+            if bits is None:
+                bits = known[top] = per_word(top)
+            if bits & bad:
+                return False
+            rest ^= 1 << top
+        return True
+
+    return keep
+
+
+@functools.lru_cache(maxsize=64)
+def _shifted_filter(n: int, k: int):
+    """Keeps exactly the shifted masks of the k-level of [n]: those holding
+    the immediate shift predecessors of each of their words."""
+    preds = level(n, k).shift_preds
+    return _closure_filter(
+        len(preds), lambda i: sum(1 << j for j in preds[i]), (1 << len(preds)) - 1
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _intersecting_filter(n: int, k: int):
+    """Keeps exactly the pairwise intersecting masks of the k-level of [n]:
+    no word is disjoint from a word of the mask, itself included."""
+    words = level_words(n, k)
+    return _closure_filter(
+        len(words),
+        lambda i: sum(1 << j for j, other in enumerate(words) if not words[i] & other),
+        0,
+    )
+
+
+def _with_mask_filter(check, space: InstanceSpace, make):
+    """The check, carrying make(n, k) as its mask_filter when the space
+    streams level masks: all-families or a uniform random-sample."""
+    if space.kind in NUMBERED_KINDS and space.get("k") is not None:
+        check.mask_filter = make(space.get("n"), space.get("k"))
+    return check
+
+
+def _iter_down_sets(pred: list[int]):
+    """Every mask closed under pred (bit i set => bits pred[i] set), ascending.
+
+    pred[i] may hold only bits below i.  An explicit-stack DFS decides bits
+    from the highest down, "exclude" before "include": it follows the
+    exclude branch at once and stacks the include branch, so masks come out
+    in ascending order as they are found.  A bit some included bit requires
+    cannot be excluded, so every branch ends in a mask.
+    """
+    stack = [(len(pred) - 1, 0, 0)]   # (bit to decide, mask, required bits)
+    while stack:
+        i, mask, required = stack.pop()
+        while i >= 0:
+            bit = 1 << i
+            if required & bit:
+                mask |= bit
+                required |= pred[i]
+            else:
+                stack.append((i - 1, mask | bit, required | pred[i]))
+            i -= 1
+        yield mask
+
+
+def _iter_shifted(n: int, k: int):
+    """Down-sets of the shifting partial order on the k-level.
+
+    Words are indexed in colex order; a word may join only once its
+    immediate shift predecessors have.  Those covering relations generate
+    the order, so this enumerates exactly the shifted families.
+    """
+    lvl = level(n, k)
+    words = lvl.words
+    pred_mask = [sum(1 << j for j in preds) for preds in lvl.shift_preds]
+    for mask in _iter_down_sets(pred_mask):
+        yield _mask_family(n, k, words, mask)
+
+
+def _cross_meets(n: int, a: int, b: int) -> list[int]:
+    """For each a-set (colex index), the mask of the b-sets it meets."""
+    words_b = level_words(n, b)
+    return [
+        sum(1 << j for j, wb in enumerate(words_b) if wa & wb)
+        for wa in level_words(n, a)
+    ]
+
+
+def _iter_cross_pairs(n: int, a: int, b: int):
+    """All cross-intersecting pairs (A, B) with A in the a-level, B in the b-level.
+
+    For each A the compatible B-sets form one maximal mask, so the stream
+    is A-mask ascending, then B-submask ascending.
+    """
+    words_a = level_words(n, a)
+    words_b = level_words(n, b)
+    meets = _cross_meets(n, a, b)
+    full_b = (1 << len(words_b)) - 1
+    for amask in range(1 << len(words_a)):
+        bmax = full_b
+        m = amask
+        while m:
+            low = m & -m
+            bmax &= meets[low.bit_length() - 1]
+            m ^= low
+        fam_a = _mask_family(n, a, words_a, amask)
+        # ascending submask walk of bmax
+        sub = 0
+        while True:
+            yield fam_a, _mask_family(n, b, words_b, sub)
+            if sub == bmax:
+                break
+            sub = (sub - bmax) & bmax
+
+
+def _iter_graphs(n: int):
+    """Edge subsets of K_n with no isolated vertex, edge-mask ascending.
+
+    On n = 0 the one graph is the empty one, with no uniformity tag since
+    [0] has no 2-sets."""
+    edges = level_words(n, 2)
+    k = 2 if n >= 2 else None
+    full = (1 << n) - 1
+    for mask in range(1 << len(edges)):
+        cover = 0
+        m = mask
+        while m:
+            low = m & -m
+            cover |= edges[low.bit_length() - 1]
+            m ^= low
+        if cover == full:
+            yield _mask_family(n, k, edges, mask)
+
+
+def _iter_up_sets(n: int):
+    """All up-closed families in 2^[n], sets indexed in descending size.
+
+    A set may join only if all its supersets already joined.
+    """
+    order = sorted(range(1 << n), key=lambda w: (-w.bit_count(), w))
+    pos = {w: i for i, w in enumerate(order)}
+    sup_mask = [0] * len(order)
+    for i, w in enumerate(order):
+        free = ((1 << n) - 1) ^ w
+        while free:
+            low = free & -free
+            sup_mask[i] |= 1 << pos[w | low]
+            free ^= low
+    for mask in _iter_down_sets(sup_mask):
+        yield Family(n, (order[i] for i in range(len(order)) if mask >> i & 1))
+

@@ -140,6 +140,9 @@ def test_budget_env_var_override():
 def test_usage_error_exit_64():
     assert run_cli(["no-such-command"]).returncode == 64
     assert run_cli(["construct", "L_uv", "--n", "7"]).returncode == 64
+    missing_k = run_cli(["bound", "--name", "kk", "--m", "4"])
+    assert missing_k.returncode == 64
+    assert "--k" in missing_k.stderr
     assert run_cli(["verify", "--claim", "x"]).returncode == 64
     for claim, space in (
         ("shadow-colex-lower", "all-families:n=6"),

@@ -8,7 +8,9 @@ import hashlib
 
 import pytest
 
-from shadowlab.verifier import CLAIMS, SPACE_KINDS, BudgetExceeded, verify
+from shadowlab.claims import CLAIMS
+from shadowlab.spaces import SPACE_KINDS, BudgetExceeded
+from shadowlab.verifier import verify
 
 # (claim, space, params, jobs, sha256 of the report's canonical_json)
 DIGESTS = [

@@ -11,25 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shadowlab import verifier
+from shadowlab import claims, spaces, verifier
+from shadowlab.claims import CLAIMS, is_r_wise_t_union
 from shadowlab.constructions import build
 from shadowlab.diversity import s_diversity
 from shadowlab.families import Family, is_r_wise_t_intersecting, matching_number
 from shadowlab.orders import Ordering, compare, level_words
 from shadowlab.shifting import is_shifted
-from shadowlab.verifier import (
-    CLAIMS,
-    BudgetExceeded,
-    InstanceSpace,
-    Report,
-    _iter_down_sets,
-    is_r_wise_t_union,
-    iter_space,
-    reverify,
-    space_size,
-    verify,
-    verify_cross_pair_space,
-)
+from shadowlab.spaces import BudgetExceeded, InstanceSpace, _iter_down_sets, iter_space, space_size
+from shadowlab.verifier import Report, reverify, verify, verify_cross_pair_space
 
 
 # -- spaces -------------------------------------------------------------------
@@ -219,19 +209,19 @@ def test_cross_lex_segments_claim():
 def test_cross_pair_checks_compute_once_per_size(monkeypatch):
     space = "all-cross-pairs:n=5,a=2,b=2"
     inv_calls = []
-    inv_gbinom = verifier.inv_gbinom
+    inv_gbinom = claims.inv_gbinom
 
     def counting_inv(m, k):
         inv_calls.append(m)
         return inv_gbinom(m, k)
 
-    monkeypatch.setattr(verifier, "inv_gbinom", counting_inv)
+    monkeypatch.setattr(claims, "inv_gbinom", counting_inv)
     rep = verify("cross-shadow-size", space)
     assert rep.checked == 5188
     # the cap depends on |A| alone: one inverse binomial per size of A
     assert len(inv_calls) == len(set(inv_calls)) <= comb(5, 2)
 
-    lex_segment = verifier.lex_segment
+    lex_segment = claims.lex_segment
     for claim in ("cross-lex-segments", "cross-shift-preserves"):
         seg_calls = []
 
@@ -239,7 +229,7 @@ def test_cross_pair_checks_compute_once_per_size(monkeypatch):
             seg_calls.append((k, t))
             return lex_segment(n, t, k)
 
-        monkeypatch.setattr(verifier, "lex_segment", counting_segment)
+        monkeypatch.setattr(claims, "lex_segment", counting_segment)
         assert verify(claim, space).checked == 6212
         # one segment per (side, size): a = b here, so the sides share them
         assert len(seg_calls) == len(set(seg_calls)) <= comb(5, 2) + 1, claim
@@ -343,7 +333,7 @@ def test_graph_kernel_features_match_the_check(monkeypatch):
     def spell(s, avoided, cover, complete):
         return "violation", f"{s},{avoided},{cover},{complete}"
 
-    monkeypatch.setattr(verifier, "_graph_verdict", spell)
+    monkeypatch.setattr(claims, "_graph_verdict", spell)
     for n in range(2, 6):
         kernel, generic = _graph_scans(n, 768)
         assert kernel["violations"] == generic["violations"] == kernel["checked"]
@@ -465,8 +455,8 @@ def test_capped_union_search_keeps_the_verdict(case, r):
     n, members, t = case
     fam = Family(n, members)
     assume(len(fam))
-    uncapped = verifier._max_union_deficit(fam, r)
-    capped = verifier._max_union_deficit(fam, r, n - t)
+    uncapped = claims._max_union_deficit(fam, r)
+    capped = claims._max_union_deficit(fam, r, n - t)
     assert (capped <= n - t) == (uncapped <= n - t)
     assert capped <= uncapped
     assert is_r_wise_t_union(fam, r, t) == (uncapped <= n - t)
@@ -528,7 +518,7 @@ def test_worker_builds_only_its_block(monkeypatch):
         init(self, *args, **kwargs)
 
     # a check that builds nothing, so every Family counted is an instance
-    monkeypatch.setitem(verifier._PREPARE, "shifted-structure",
+    monkeypatch.setitem(claims._PREPARE, "shifted-structure",
                         lambda space, params: lambda fam: ("ok", None))
     monkeypatch.setattr(Family, "__init__", counting_init)
     lo, hi = 900, 940
@@ -602,17 +592,17 @@ def test_mask_filter_rejects_only_skipped_instances(claim, case):
     n, k, mask = case
     check = _prepared(claim, n, k)
     if not check.mask_filter(mask):
-        fam = verifier._mask_family(n, k, level_words(n, k), mask)
+        fam = spaces._mask_family(n, k, level_words(n, k), mask)
         assert check(fam)[0] == "skip"
 
 
 @pytest.mark.parametrize("n,k", [(3, 0), (4, 1), (3, 3), (4, 2), (5, 2), (5, 3), (4, 4)])
 def test_mask_filters_are_exact_on_small_levels(n, k):
     words = level_words(n, k)
-    shifted = verifier._shifted_filter(n, k)
-    intersecting = verifier._intersecting_filter(n, k)
+    shifted = spaces._shifted_filter(n, k)
+    intersecting = spaces._intersecting_filter(n, k)
     for mask in range(1 << len(words)):
-        fam = verifier._mask_family(n, k, words, mask)
+        fam = spaces._mask_family(n, k, words, mask)
         assert shifted(mask) == is_shifted(fam), mask
         assert intersecting(mask) == is_r_wise_t_intersecting(fam, 2, 1), mask
 
@@ -632,13 +622,13 @@ def test_filtered_claims_carry_their_filter_only_on_level_masks():
 
 def test_shifted_scan_builds_only_shifted_families(monkeypatch):
     built = []
-    mask_family = verifier._mask_family
+    mask_family = spaces._mask_family
 
     def counting(*args):
         built.append(args[-1])
         return mask_family(*args)
 
-    monkeypatch.setattr(verifier, "_mask_family", counting)
+    monkeypatch.setattr(spaces, "_mask_family", counting)
     rep = verify("shifted-structure", "all-families:n=6,k=3", jobs=1)
     # the (6,3) level has 66 shifted families, and only they are built
     assert len(built) == rep.checked == 66
