@@ -384,15 +384,15 @@ def verify(
         )
     merged = dict(spec.defaults, **(params or {}))
     t0 = time.perf_counter()
-    notes: dict = {}
-    merged["_notes"] = notes
+    report = Report(_claim_label(claim_id, merged), space.describe())
+    merged["_notes"] = report.notes
 
     kernel = KERNELS.get((claim_id, space.kind))
     if kernel is not None:
         tallies = kernel(space, merged, budget, max_recorded)
     else:
         tallies = _scan(spec, space, merged, jobs or 1, budget, max_recorded)
-    report = Report(_claim_label(claim_id, merged), space.describe(), notes=notes, **tallies)
+    vars(report).update(tallies)  # counts and recorded lists, each a Report field
 
     if spec.exploratory is True:
         report.exploratory = True
