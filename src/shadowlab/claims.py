@@ -4,11 +4,11 @@ conclusion, over the instance spaces it lists.
 ``prepare`` turns a claim, a space and the claim's parameters into a check:
 a function from one instance to a status, "skip" (hypothesis fails),
 "violation", "equality" (a bound met exactly) or "ok", and a detail that is
-set only for a violation.  Every check takes one instance shape: a claim on
-families gets k-uniform families through ``_uniform``, which unwraps a
-construction-grid point and skips a point that built no uniform family; a
-grid-only claim gets the grid point (params, family); a pair claim gets
-(A, B).  A value is held against its bound through ``_against``.
+set only for a violation.  Every check takes one instance shape: claims on
+k-uniform families get them through ``_uniform``, which unwraps a grid
+point and skips an instance without a uniform family; other family claims
+get each Family as streamed; grid-only claims the point (params, family);
+pair claims (A, B).  A value is held against its bound through ``_against``.
 
 A prepared check may carry a ``mask_filter``: a predicate on the level
 masks of all-families and of a uniform random-sample that rejects only
