@@ -155,9 +155,7 @@ def _grid_points(space: InstanceSpace):
 def iter_space(space: InstanceSpace, budget: int | None = None):
     """Deterministic instance stream; raises BudgetExceeded past the budget."""
     budget = _effective_budget(budget)
-    known = space_size(space)
-    if known is not None:
-        _refuse_over_budget(space, known, budget)
+    _refuse_over_budget(space, budget)
     count = 0
     for inst in _raw_iter(space):
         count += 1
@@ -175,10 +173,18 @@ def _effective_budget(budget: int | None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _refuse_over_budget(space: InstanceSpace, total: int, budget: int | None) -> None:
+def _refuse_over_budget(space: InstanceSpace, budget: int | None) -> None:
+    """Refuse a space of known size over the budget.  All-families' size,
+    2^C(n,k), is compared and stated by its exponent, never written out."""
     eff = _effective_budget(budget)
-    if total > eff:
-        raise BudgetExceeded(f"{space.describe()} holds {total} instances; budget {eff}")
+    if space.kind == "all-families":
+        exponent = comb(space.get("n"), space.get("k"))
+        over, size = exponent >= max(eff, 0).bit_length(), f"2^{exponent}"
+    else:
+        size = space_size(space)
+        over = size is not None and size > eff
+    if over:
+        raise BudgetExceeded(f"{space.describe()} holds {size} instances; budget {eff}")
 
 
 def _raw_iter(space: InstanceSpace):
@@ -214,25 +220,21 @@ NUMBERED_KINDS = ("all-families", "random-sample")
 
 
 def _iter_numbered(space: InstanceSpace, lo: int, hi: int, keep=None):
-    """Instances lo..hi-1 of a numbered space, each built from its index.
+    """Instances lo..hi-1 of a numbered space, each built from its index:
+    mask i of the k-level, or the mask sample i draws over its k-level or,
+    without k, over all of 2^[n].
 
     With `keep`, a predicate on level masks, a mask it rejects yields None
-    instead of a Family; a non-uniform sample ignores `keep`."""
+    instead of a Family."""
     n, k = space.get("n"), space.get("k")
-    seed = space.get("seed", 0)
-    rngs = (random.Random(seed * 1_000_003 + idx) for idx in range(lo, hi))
-    if k is None:
-        for rng in rngs:
-            if n > 16:
-                raise ValueError("non-uniform random sampling limited to n <= 16")
-            mask = rng.getrandbits(1 << n)
-            yield Family(n, (w for w in range(1 << n) if mask >> w & 1))
-        return
-    words = level_words(n, k)
     if space.kind == "all-families":
-        masks = range(lo, hi)
+        words, masks = level_words(n, k), range(lo, hi)
     else:
-        masks = (rng.getrandbits(len(words)) for rng in rngs)
+        if k is None and n > 16 and lo < hi:
+            raise ValueError("non-uniform random sampling limited to n <= 16")
+        words = range(1 << n) if k is None else level_words(n, k)
+        seed = space.get("seed", 0) * 1_000_003
+        masks = (random.Random(seed + idx).getrandbits(len(words)) for idx in range(lo, hi))
     for mask in masks:
         yield _mask_family(n, k, words, mask) if keep is None or keep(mask) else None
 

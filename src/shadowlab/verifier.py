@@ -6,14 +6,17 @@ are skipped, violations are recorded as counterexamples (re-verifiable from
 their serialized form), and instances meeting a bound with equality become
 witnesses.
 
-A claim runs either through its fast kernel or through the one generic
-scan.  With jobs >= 2 the scan splits the numbered spaces, all-families
-and random-sample, into index ranges checked in a process pool, each
-worker building only its own instances; the reduction merges counterexample
-and witness lists in index order, so runs are reproducible regardless of
-the worker count.  Kernels and every other space run in one process.  A
-kernel reads its claim's verdict from ``claims`` when it runs, so it holds
-no bound of its own.
+A space whose size is known up front and exceeds the budget is refused
+before its check is prepared, whatever the worker count.  The check is then
+prepared once and handed to the claim's fast kernel or to the one generic
+scan, which only tally it, keeping at most MAX_RECORDED counterexamples and
+witnesses.  With jobs >= 2 the scan splits the numbered spaces,
+all-families and random-sample, into index ranges checked in a process
+pool, each worker preparing its own check and building only its own
+instances; the reduction merges counterexample and witness lists in index
+order, so runs are reproducible regardless of the worker count.  Kernels
+and every other space run in one process.  A kernel reads its claim's
+verdict from ``claims`` when it runs, so it holds no bound of its own.
 """
 
 from __future__ import annotations
@@ -136,15 +139,7 @@ def _instance_from_payload(payload):
 # ---------------------------------------------------------------------------
 
 
-def _shadow_kernel_factory(mode: str):
-    # _shadow_kernel is looked up when the kernel runs, so a wrapper put on
-    # verifier._shadow_kernel (as the benchmark's tracer does) is the one run
-    def kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
-        return _shadow_kernel(space, mode, budget, max_recorded)
-    return kernel
-
-
-def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dict:
+def _shadow_kernel(check, space: InstanceSpace, mode: str) -> dict:
     """Split-table scan of the shadow lower bounds over a full level.
 
     The shadow of a family is the union of per-member shadow masks, so a
@@ -156,7 +151,6 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
     words = level_words(n, k)
     m_words = len(words)
     total = 1 << m_words
-    _refuse_over_budget(space, total, budget)
     member_masks = [sum(1 << i for i in sub) for sub in level(n, k).shadows]
     verdicts = [claims._shadow_verdict(mode, n, k, size) for size in range(m_words + 1)]
     # Skips depend on the size alone, so they are counted here, and a
@@ -180,7 +174,6 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
     violations = equalities = 0
     counterexamples: list = []
     witnesses: list = []
-    check = claims._shadow_check(mode)
     low_count = 1 << split
     low_sizes = [lo.bit_count() for lo in range(low_count)]
     for hi in range(1 << (m_words - split)):
@@ -192,14 +185,14 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
             size = low_sizes[lo]
             if sh < floor_of[size]:
                 violations += 1
-                if len(counterexamples) < max_recorded:
+                if len(counterexamples) < MAX_RECORDED:
                     fam = _mask_family(n, k, words, (hi << split) | lo)
                     counterexamples.append(
                         {"instance": _instance_payload(fam), "detail": check(fam)[1]}
                     )
             elif sh == equal_of[size]:
                 equalities += 1
-                if len(witnesses) < max_recorded:
+                if len(witnesses) < MAX_RECORDED:
                     fam = _mask_family(n, k, words, (hi << split) | lo)
                     witnesses.append(_instance_payload(fam))
     return {
@@ -209,23 +202,59 @@ def _shadow_kernel(space: InstanceSpace, mode: str, budget, max_recorded) -> dic
     }
 
 
-def _graph_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
+def _graph_kernel(check, space: InstanceSpace, params, budget) -> dict:
     """Vectorized scan of the graph-avoidance claim over all-graphs(n).
 
-    Every edge mask m gets its covered vertices, edge count and matching
-    number from m without its highest edge e, with
-    nu(m) = max(nu(m - e), 1 + nu(m minus every edge touching e)).  The edge
-    counts double as the popcount table for the edges each s-set avoids.
     Statuses and details come from the checker's own _graph_verdict, and
-    instances are recorded in ascending edge-mask order.
+    instances are recorded in ascending edge-mask order.  Their payloads are
+    built once the scan's arrays are freed.
     """
     import numpy as np
 
     n = space.get("n")
     edges = level_words(n, 2)
     num_edges = len(edges)
-    _refuse_over_budget(space, space_size(space), budget)
+    # Every graph here covers [n], so it is complete only with every edge.
+    verdicts = [
+        claims._graph_verdict(s, a, n, complete)
+        for s in range(n // 2 + 1) for a in range(num_edges + 1)
+        for complete in (False, True)
+    ]
+    codes = ("ok", "violation", "equality", "skip")
+    table = np.array([codes.index(v[0]) for v in verdicts], dtype=np.int8)
+    graphs, key = _graph_keys(n, edges)
+    status = table[key]
+    ok, violations, equalities, skipped = np.bincount(status, minlength=4).tolist()
+    picks = [np.flatnonzero(status == code)[:MAX_RECORDED] for code in (1, 2)]
+    recorded = [list(zip(graphs[at].tolist(), key[at].tolist())) for at in picks]
+    del graphs, key, status
+    return {
+        "checked": ok + violations + equalities, "skipped": skipped,
+        "violations": violations, "equalities": equalities,
+        "counterexamples": [
+            {"instance": _instance_payload(_mask_family(n, 2, edges, mask)),
+             "detail": verdicts[at][1]}
+            for mask, at in recorded[0]
+        ],
+        "equality_witnesses": [
+            _instance_payload(_mask_family(n, 2, edges, mask)) for mask, _ in recorded[1]
+        ],
+    }
 
+
+def _graph_keys(n: int, edges):
+    """Each graph of all-graphs(n), as its edge mask in ascending order, and
+    the index (nu, avoided, complete) of its verdict in the graph kernel's
+    table.
+
+    Every edge mask m gets its covered vertices, edge count and matching
+    number from m without its highest edge e, with
+    nu(m) = max(nu(m - e), 1 + nu(m minus every edge touching e)).  The edge
+    counts double as the popcount table for the edges each s-set avoids.
+    """
+    import numpy as np
+
+    num_edges = len(edges)
     # The narrowest dtypes that hold an edge mask, a vertex mask and a count.
     index = np.min_scalar_type((1 << num_edges) - 1)
     cover = np.zeros(1 << num_edges, dtype=np.min_scalar_type((1 << n) - 1))
@@ -252,35 +281,12 @@ def _graph_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
             np.minimum(best, count[sub & keep], out=best)
         avoided[sel] = best
 
-    # Every graph here covers [n], so it is complete only with every edge.
-    verdicts = [
-        claims._graph_verdict(s, a, n, complete)
-        for s in range(n // 2 + 1) for a in range(num_edges + 1)
-        for complete in (False, True)
-    ]
-    codes = ("ok", "violation", "equality", "skip")
-    table = np.array([codes.index(v[0]) for v in verdicts], dtype=np.int8)
-    key = nu.astype(np.min_scalar_type(len(verdicts)))
+    key = nu.astype(np.min_scalar_type((n // 2 + 1) * (num_edges + 1) * 2))
     key = (key * (num_edges + 1) + avoided) * 2 + (graphs == (1 << num_edges) - 1)
-    status = table[key]
-    ok, violations, equalities, skipped = np.bincount(status, minlength=4).tolist()
-
-    def recorded(code: int):
-        for idx in np.flatnonzero(status == code)[:max_recorded]:
-            yield _mask_family(n, 2, edges, int(graphs[idx])), verdicts[key[idx]][1]
-
-    return {
-        "checked": ok + violations + equalities, "skipped": skipped,
-        "violations": violations, "equalities": equalities,
-        "counterexamples": [
-            {"instance": _instance_payload(fam), "detail": detail}
-            for fam, detail in recorded(1)
-        ],
-        "equality_witnesses": [_instance_payload(fam) for fam, _ in recorded(2)],
-    }
+    return graphs, key
 
 
-def _cross_stability_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
+def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict:
     """Pruned scan of the cross-pair stability claim.
 
     Enumerates A-sides at or above their size threshold, computes the
@@ -290,7 +296,6 @@ def _cross_stability_kernel(space: InstanceSpace, params, budget, max_recorded) 
     the claim's check.  Pruned pairs are not counted.  The budget counts
     A-sides.
     """
-    check = claims._PREPARE["cross-diversity-stability"](space, params)
     thr_a, thr_b, _, _ = claims._stability_thresholds(space, params)
     n, a, b = space.get("n"), space.get("a"), space.get("b")
     words_a = level_words(n, a)
@@ -334,12 +339,12 @@ def _cross_stability_kernel(space: InstanceSpace, params, budget, max_recorded) 
                     for bcombo in itertools.combinations(bbits, size_b):
                         yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
 
-    tallies = _check_stream(check, pairs() if feasible else (), max_recorded)
+    tallies = _check_stream(check, pairs() if feasible else ())
     tallies["skipped"] += at_thresholds
     return tallies
 
 
-def _correlation_pairs_kernel(space: InstanceSpace, params, budget, max_recorded) -> dict:
+def _correlation_pairs_kernel(check, space: InstanceSpace, params, budget) -> dict:
     """The correlation claim over every ordered pair of the space's families.
 
     The budget bounds the families and then the pairs."""
@@ -347,15 +352,19 @@ def _correlation_pairs_kernel(space: InstanceSpace, params, budget, max_recorded
     eff = _effective_budget(budget)
     if len(fams) ** 2 > eff:
         raise BudgetExceeded(f"{len(fams)}^2 ordered pairs exceed the budget of {eff}")
-    check = CLAIMS["shifted-correlation"].prepare(space, params)
-    return _check_stream(check, itertools.product(fams, fams), max_recorded)
+    return _check_stream(check, itertools.product(fams, fams))
 
 
+# Each kernel is called as kernel(check, space, params, budget).  The shadow
+# kernels look _shadow_kernel up when they run, so a wrapper put on
+# verifier._shadow_kernel (as the benchmark's tracer does) is the one run.
 KERNELS = {
     ("graph-avoidance", "all-graphs"): _graph_kernel,
     ("shifted-correlation", "all-shifted-families"): _correlation_pairs_kernel,
-    ("shadow-colex-lower", "all-families"): _shadow_kernel_factory("colex"),
-    ("shadow-real-lower", "all-families"): _shadow_kernel_factory("real"),
+    ("shadow-colex-lower", "all-families"):
+        lambda check, space, params, budget: _shadow_kernel(check, space, "colex"),
+    ("shadow-real-lower", "all-families"):
+        lambda check, space, params, budget: _shadow_kernel(check, space, "real"),
     ("cross-diversity-stability", "all-cross-pairs"): _cross_stability_kernel,
 }
 
@@ -370,7 +379,6 @@ def verify(
     params: dict | None = None,
     jobs: int | None = None,
     budget: int | None = None,
-    max_recorded: int = MAX_RECORDED,
 ) -> Report:
     """Check one claim over one instance space and return the Report."""
     if claim_id not in CLAIMS:
@@ -386,12 +394,14 @@ def verify(
     t0 = time.perf_counter()
     report = Report(_claim_label(claim_id, merged), space.describe())
     merged["_notes"] = report.notes
+    _refuse_over_budget(space, budget)
+    check = spec.prepare(space, merged)
 
     kernel = KERNELS.get((claim_id, space.kind))
     if kernel is not None:
-        tallies = kernel(space, merged, budget, max_recorded)
+        tallies = kernel(check, space, merged, budget)
     else:
-        tallies = _scan(spec, space, merged, jobs or 1, budget, max_recorded)
+        tallies = _scan(spec, check, space, merged, jobs or 1, budget)
     vars(report).update(tallies)  # counts and recorded lists, each a Report field
 
     if spec.exploratory is True:
@@ -412,34 +422,26 @@ def _claim_label(claim_id: str, params: dict) -> str:
     return f"{claim_id}:{body}"
 
 
-def _scan(spec: ClaimSpec, space, params, jobs, budget, max_recorded) -> dict:
-    """The generic scan.  A numbered space is checked by index range,
-    through the check's mask filter if it has one: with jobs >= 2 in at
-    most `jobs` ranges, checked in at most one worker process per CPU and
-    merged in range order, else as one range.  Every other space is one
-    stream through iter_space.  The merge is the one place whose lists can
-    outgrow max_recorded, so it cuts them back."""
-    numbered = space.kind in NUMBERED_KINDS
-    blocks = []
-    if jobs > 1 and numbered:
-        total = space_size(space)
-        _refuse_over_budget(space, total, budget)
-        chunk = max(1, -(-total // jobs))
-        blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def _scan(spec: ClaimSpec, check, space, params, jobs, budget) -> dict:
+    """The generic scan.  A numbered space is split into at most `jobs`
+    index ranges, checked through the check's mask filter if it has one:
+    one range here, more in at most one worker process per CPU, merged in
+    range order with the lists cut back to MAX_RECORDED.  Every other space
+    is one stream through iter_space."""
+    if space.kind not in NUMBERED_KINDS:
+        return _check_stream(check, iter_space(space, budget))
+    total = space_size(space)
+    chunk = max(1, -(-total // jobs))
+    blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     workers = min(len(blocks), os.cpu_count() or 1)
     if workers < 2:
-        check = spec.prepare(space, params)
-        if not numbered:
-            return _check_stream(check, iter_space(space, budget), max_recorded)
-        total = space_size(space)
-        _refuse_over_budget(space, total, budget)
-        return _check_range(check, space, (0, total), max_recorded)
+        return _check_range(check, space, (0, total))
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when a pool starts
 
     plain = {k: v for k, v in params.items() if not k.startswith("_")}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_worker_scan, spec.id, space.describe(), plain, blk, max_recorded)
+            pool.submit(_worker_scan, spec.id, space.describe(), plain, blk)
             for blk in blocks
         ]
         partials = [f.result() for f in futures]
@@ -448,11 +450,11 @@ def _scan(spec: ClaimSpec, space, params, jobs, budget, max_recorded) -> dict:
         for key in ("checked", "skipped", "violations", "equalities"):
             merged[key] += part[key]
         for key in ("counterexamples", "equality_witnesses"):
-            merged[key] = (merged[key] + part[key])[:max_recorded]
+            merged[key] = (merged[key] + part[key])[:MAX_RECORDED]
     return merged
 
 
-def _check_stream(check, stream, max_recorded: int) -> dict:
+def _check_stream(check, stream) -> dict:
     """Tally the check's verdicts over a stream of instances, recording
     counterexamples and equality witnesses while the lists have room."""
     tallies = {
@@ -470,43 +472,37 @@ def _check_stream(check, stream, max_recorded: int) -> dict:
         tallies["checked"] += 1
         if status == "violation":
             tallies["violations"] += 1
-            if len(tallies["counterexamples"]) < max_recorded:
+            if len(tallies["counterexamples"]) < MAX_RECORDED:
                 tallies["counterexamples"].append(
                     {"instance": _instance_payload(inst), "detail": detail}
                 )
         elif status == "equality":
             tallies["equalities"] += 1
-            if len(tallies["equality_witnesses"]) < max_recorded:
+            if len(tallies["equality_witnesses"]) < MAX_RECORDED:
                 tallies["equality_witnesses"].append(_instance_payload(inst))
     return tallies
 
 
-def _check_range(check, space: InstanceSpace, block, max_recorded: int) -> dict:
+def _check_range(check, space: InstanceSpace, block) -> dict:
     """Check instances lo..hi-1 of a numbered space, building only those
     that pass the check's mask filter."""
     keep = getattr(check, "mask_filter", None)
-    return _check_stream(check, _iter_numbered(space, *block, keep), max_recorded)
+    return _check_stream(check, _iter_numbered(space, *block, keep))
 
 
-def _worker_scan(claim_id, space_text, params, block, max_recorded):
+def _worker_scan(claim_id, space_text, params, block):
     """A worker's range of a numbered space, checked in its own process."""
     space = InstanceSpace.parse(space_text)
     check = CLAIMS[claim_id].prepare(space, dict(params, _notes={}))
-    return _check_range(check, space, block, max_recorded)
+    return _check_range(check, space, block)
 
 
 def verify_cross_pair_space(
-    n: int,
-    a: int,
-    b: int,
-    u: int,
-    v: int,
-    budget: int | None = None,
-    max_recorded: int = MAX_RECORDED,
+    n: int, a: int, b: int, u: int, v: int, budget: int | None = None
 ) -> Report:
     """Shorthand for verify("cross-diversity-stability") on all-cross-pairs(n, a, b)."""
     return verify(
         "cross-diversity-stability",
         InstanceSpace.make("all-cross-pairs", n=n, a=a, b=b),
-        params={"u": u, "v": v}, budget=budget, max_recorded=max_recorded,
+        params={"u": u, "v": v}, budget=budget,
     )

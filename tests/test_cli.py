@@ -4,6 +4,8 @@ import io
 import json
 import subprocess
 import sys
+import time
+from math import comb
 
 import pytest
 
@@ -125,6 +127,29 @@ def test_verify_budget_exit_three():
          "--space", "all-families:n=6,k=3", "--budget", "1000"]
     )
     assert out.returncode == 3
+
+
+def test_over_budget_space_exits_three_at_any_jobs():
+    # the claim refuses a sample without k when its check is prepared; the
+    # budget refuses the space before that, whatever the worker count
+    for jobs in ("1", "2"):
+        out = run_cli(["verify", "--claim", "matching-diversity-max",
+                       "--space", "random-sample:n=5,count=100", "--budget", "10",
+                       "--jobs", jobs])
+        assert out.returncode == 3, (jobs, out.stderr)
+
+
+def test_huge_all_families_refused_quickly():
+    # 2^C(n,k) instances, stated as a power: written out, 2^184756 has
+    # 55,618 digits and 2^C(64,32) would not fit in memory
+    for n, k in ((20, 10), (64, 32)):
+        for jobs in ("1", "2"):
+            start = time.perf_counter()
+            out = run_cli(["verify", "--claim", "shifted-structure",
+                           "--space", f"all-families:n={n},k={k}", "--jobs", jobs])
+            assert time.perf_counter() - start < 2
+            assert out.returncode == 3, (n, k, jobs, out.stderr)
+            assert f"holds 2^{comb(n, k)} instances" in out.stderr
 
 
 def test_budget_env_var_override():

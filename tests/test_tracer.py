@@ -32,3 +32,18 @@ def test_traced_spans_record_every_engine_path():
             assert span in stats and stats[span].calls > 0, span
     finally:
         tracer.uninstall()
+
+
+def test_traced_pair_kernels_give_the_untraced_reports():
+    # both kernels check pairs through the claim's prepared check, which
+    # the tracer wraps
+    runs = (("cross-diversity-stability", "all-cross-pairs:n=5,a=2,b=2"),
+            ("shifted-correlation", "all-shifted-families:n=5,k=2"))
+    plain = [verify(*run).canonical_json() for run in runs]
+    tracer = _load_tracer().install()
+    try:
+        traced = [verify(*run).canonical_json() for run in runs]
+        assert tracer.stats["verifier.check"].calls > 0
+    finally:
+        tracer.uninstall()
+    assert traced == plain

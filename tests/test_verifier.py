@@ -152,6 +152,31 @@ def test_budget_exceeded_reported():
         verify("shadow-colex-lower", space, budget=1000)
 
 
+def test_over_budget_spaces_refused_before_prepare(monkeypatch):
+    prepared = []
+    for claim_id, prepare in list(claims._PREPARE.items()):
+        monkeypatch.setitem(
+            claims._PREPARE, claim_id,
+            lambda space, params, prepare=prepare: prepared.append(space) or prepare(space, params),
+        )
+    for claim, space in (
+        ("shifted-structure", "all-families:n=6,k=3"),                   # generic scan
+        ("shadow-colex-lower", "all-families:n=6,k=3"),                  # shadow kernel
+        ("graph-avoidance", "all-graphs:n=6"),                           # graph kernel
+        ("compression-shadow-monotone", "random-sample:count=100,k=3,n=6"),
+    ):
+        for jobs in (1, 2):
+            with pytest.raises(BudgetExceeded):
+                verify(claim, space, jobs=jobs, budget=10)
+    assert prepared == []
+    # within the budget the check is prepared once in this process, as
+    # workers prepare their own
+    for jobs in (1, 2):
+        verify("shifted-structure", "all-families:n=4,k=2", jobs=jobs)
+        assert len(prepared) == 1
+        prepared.clear()
+
+
 def test_constructions_grid_instances():
     space = InstanceSpace.parse("constructions-grid:name=kalai_circle,n=3..7")
     got = list(iter_space(space))
@@ -309,17 +334,18 @@ def test_graph_claim_kernel_and_generic_agree():
         assert status in ("ok", "equality"), detail
 
 
-def _graph_scans(n: int, max_recorded: int) -> tuple[dict, dict]:
+def _graph_scans(n: int) -> tuple[dict, dict]:
     """The graph kernel's and the generic scan's tallies on all-graphs(n)."""
     space = InstanceSpace.make("all-graphs", n=n)
-    kernel = verifier._graph_kernel(space, {}, None, max_recorded)
-    generic = verifier._scan(CLAIMS["graph-avoidance"], space, {}, 1, None, max_recorded)
+    check = CLAIMS["graph-avoidance"].prepare(space, {})
+    kernel = verifier._graph_kernel(check, space, {}, None)
+    generic = verifier._scan(CLAIMS["graph-avoidance"], check, space, {}, 1, None)
     return kernel, generic
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_graph_kernel_matches_generic_scan(n):
-    kernel, generic = _graph_scans(n, 1000)
+    kernel, generic = _graph_scans(n)
     assert kernel == generic
     if n == 0:
         # the empty graph is the one instance, and the check skips it
@@ -335,7 +361,7 @@ def test_graph_kernel_features_match_the_check(monkeypatch):
 
     monkeypatch.setattr(claims, "_graph_verdict", spell)
     for n in range(2, 6):
-        kernel, generic = _graph_scans(n, 768)
+        kernel, generic = _graph_scans(n)
         assert kernel["violations"] == generic["violations"] == kernel["checked"]
         assert len(kernel["counterexamples"]) == min(768, kernel["checked"])
         assert kernel["counterexamples"] == generic["counterexamples"]
@@ -523,7 +549,7 @@ def test_worker_builds_only_its_block(monkeypatch):
     monkeypatch.setattr(Family, "__init__", counting_init)
     lo, hi = 900, 940
     tallies = verifier._worker_scan(
-        "shifted-structure", "all-families:k=2,n=5", {}, (lo, hi), 1000
+        "shifted-structure", "all-families:k=2,n=5", {}, (lo, hi)
     )
     assert tallies["checked"] == len(built) == hi - lo
 
@@ -676,7 +702,8 @@ def test_shadow_kernel_matches_generic_scan():
     for claim, k in itertools.product(("shadow-colex-lower", "shadow-real-lower"), (2, 0)):
         space = InstanceSpace.make("all-families", n=4, k=k)
         via_kernel = verify(claim, space)
-        generic = verifier._scan(CLAIMS[claim], space, {"_notes": {}}, 1, None, 1000)
+        check = CLAIMS[claim].prepare(space, {})
+        generic = verifier._scan(CLAIMS[claim], check, space, {"_notes": {}}, 1, None)
         assert via_kernel.checked == generic["checked"]
         assert via_kernel.skipped == generic["skipped"]
         assert via_kernel.violations == generic["violations"]
@@ -728,10 +755,9 @@ def test_cross_pair_claim_via_engine():
 def test_cross_stability_kernel_matches_generic_scan():
     space = InstanceSpace.make("all-cross-pairs", n=5, a=2, b=2)
     via_kernel = verify("cross-diversity-stability", space)
-    generic = verifier._scan(
-        CLAIMS["cross-diversity-stability"], space, {"u": 3, "v": 3, "_notes": {}},
-        1, None, 1000,
-    )
+    params = {"u": 3, "v": 3, "_notes": {}}
+    spec = CLAIMS["cross-diversity-stability"]
+    generic = verifier._scan(spec, spec.prepare(space, params), space, params, 1, None)
     assert via_kernel.exploratory
     assert via_kernel.checked == generic["checked"] == 45
     assert via_kernel.violations == generic["violations"] == 45
