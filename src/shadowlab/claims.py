@@ -20,6 +20,7 @@ intersecting).  The shared verdicts ``_shadow_verdict`` and
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, log
@@ -270,14 +271,29 @@ def _prep_compression_monotone(space, params):
     spaces=("all-cross-pairs",),
 )
 def _prep_cross_shift(space, params):
+    """The paired-shift walk of each pair, stopped at a certified state.
+
+    A pair state is certified once a walk through it ended "ok" at lex
+    segments; the walk from a state is the same whichever pair reached it,
+    so a later walk stops there, and only its size check remains.  A state
+    is keyed by one int: the word bitmasks of A and of B side by side.  The
+    set lives as long as the prepared check, one `verify` call.
+    """
     n, a, b = space.get("n"), space.get("a"), space.get("b")
     segment = functools.cache(lex_segment)
+    shift_b = 1 << n
+    certified: set[int] = set()
+
+    def bits(fam: Family) -> int:
+        return functools.reduce(operator.or_, map((1).__lshift__, fam.members), 0)
 
     def check(pair):
         fam_a, fam_b = pair
         size_a, size_b = len(fam_a), len(fam_b)
+        trail = []
         try:
-            while True:
+            while (key := bits(fam_a) | bits(fam_b) << shift_b) not in certified:
+                trail.append(key)
                 step = cross_lex_shift_step(fam_a, fam_b)
                 if step is None:
                     break
@@ -286,8 +302,11 @@ def _prep_cross_shift(space, params):
             return "violation", str(exc)
         if len(fam_a) != size_a or len(fam_b) != size_b:
             return "violation", "sizes changed along the shift"
-        if fam_a != segment(n, size_a, a) or fam_b != segment(n, size_b, b):
+        if key not in certified and (
+            fam_a != segment(n, size_a, a) or fam_b != segment(n, size_b, b)
+        ):
             return "violation", "fixed point is not a pair of lex segments"
+        certified.update(trail)
         return "ok", None
 
     return check

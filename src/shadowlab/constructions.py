@@ -157,10 +157,33 @@ def kalai_member(word: int, n: int) -> bool:
 
 
 def kalai_circle(n: int) -> Family:
-    """The circle family on [n]; intersecting with uniformly small influences."""
+    """The circle family on [n]; intersecting with uniformly small influences.
+
+    The members are those `kalai_member` accepts.  Run profiles do not
+    change under rotation, so they are computed once per rotation class:
+    the class joins or stays out whole, except on a tie, where each
+    rotation is held against its own complement.
+    """
     if not 3 <= n <= 24:
         raise ValueError(f"n={n} outside 3..24")
-    return Family(n, (w for w in range(1 << n) if kalai_member(w, n)))
+    full = (1 << n) - 1
+    seen = bytearray(1 << n)
+    members = []
+    for word in range(1 << n):
+        if seen[word]:
+            continue
+        rotations = []
+        rot = word
+        while not seen[rot]:
+            seen[rot] = 1
+            rotations.append(rot)
+            rot = (rot << 1 | rot >> (n - 1)) & full
+        ones, zeros = run_sequences(word, n)
+        if ones > zeros:
+            members += rotations
+        elif ones == zeros:
+            members += [rot for rot in rotations if rot < full ^ rot]
+    return Family(n, members)
 
 
 def _ground(n: int, k: int) -> None:

@@ -119,18 +119,24 @@ def shift_ij(fam: Family, i: int, j: int) -> Family:
 def is_shifted(fam: Family) -> bool:
     """Closed under pushing any single element down to a free smaller one.
 
-    Single-element moves generate the shifting partial order, so this is
-    equivalent to closure under predecessors of <_s.
+    Only the covering moves are tried: an element j > 1 of a member down to
+    a free j - 1.  On sets of one size, a move of j down to any free i < j
+    gives a set below in the shifting partial order (the sorted elements
+    compared place by place), and the covering relations of that order are
+    exactly these moves, one element one step down.  Every predecessor of a
+    member is so reached by a chain of covering moves, each from a set the
+    closure already holds; the covering moves are themselves moves, so the
+    two closures agree.  The immediate predecessors of the shifted filter
+    and of the shifted-family enumeration are the same moves.
     """
     present = fam.member_set()
     for w in fam.members:
-        elems = elements_of(w)
-        for j in elems:
-            bj = 1 << (j - 1)
-            for i in range(1, j):
-                bi = 1 << (i - 1)
-                if not w & bi and ((w ^ bj) | bi) not in present:
-                    return False
+        movable = w & ~(w << 1) & ~1
+        while movable:
+            low = movable & -movable
+            if w ^ low ^ (low >> 1) not in present:
+                return False
+            movable ^= low
     return True
 
 

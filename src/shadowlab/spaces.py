@@ -139,9 +139,11 @@ def space_size(space: InstanceSpace) -> int | None:
     return None
 
 
-def _axis_values(val) -> list:
+def _axis_values(val) -> range | list:
+    """An axis of the grid; a range is not built as a list, so its size is
+    known without spending memory on it."""
     if isinstance(val, tuple) and val and val[0] == "range":
-        return list(range(val[1], val[2] + 1))
+        return range(val[1], val[2] + 1)
     return [val]
 
 
@@ -175,11 +177,19 @@ def _effective_budget(budget: int | None) -> int:
 
 def _refuse_over_budget(space: InstanceSpace, budget: int | None) -> None:
     """Refuse a space of known size over the budget.  All-families' size,
-    2^C(n,k), is compared and stated by its exponent, never written out."""
+    2^C(n,k), is compared and stated by its exponent, never written out.  So
+    is all-graphs' from n = 4 on, by the lower bound 2^(C(n,2)-1): at most
+    n * 2^C(n-1,2) of the 2^C(n,2) graphs have an isolated vertex, and
+    n / 2^(n-1) <= 1/2.  The exact count is summed only when that bound does
+    not already exceed the budget."""
     eff = _effective_budget(budget)
+    bits = max(eff, 0).bit_length()
+    n = space.get("n")
     if space.kind == "all-families":
-        exponent = comb(space.get("n"), space.get("k"))
-        over, size = exponent >= max(eff, 0).bit_length(), f"2^{exponent}"
+        exponent = comb(n, space.get("k"))
+        over, size = exponent >= bits, f"2^{exponent}"
+    elif space.kind == "all-graphs" and n >= 4 and comb(n, 2) - 1 >= bits:
+        over, size = True, f"at least 2^{comb(n, 2) - 1}"
     else:
         size = space_size(space)
         over = size is not None and size > eff

@@ -21,8 +21,10 @@ verdict from ``claims`` when it runs, so it holds no bound of its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -289,12 +291,15 @@ def _graph_keys(n: int, edges):
 def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict:
     """Pruned scan of the cross-pair stability claim.
 
-    Enumerates A-sides at or above their size threshold, computes the
-    unique maximal compatible B-side, and descends into B-subsets only when
-    the B threshold is reachable.  Pairs sitting exactly at both thresholds
-    are counted as skipped without building them; every other pair goes to
-    the claim's check.  Pruned pairs are not counted.  The budget counts
-    A-sides.
+    Enumerates A-sides size by size from their size threshold up, computes
+    the unique maximal compatible B-side, and descends into B-subsets only
+    when the B threshold is reachable.  Pairs sitting exactly at both
+    thresholds are counted as skipped without building them; every other
+    pair goes to the claim's check.  Pruned pairs are not counted.  The room
+    an A-side leaves for B only shrinks as A grows, so the scan stops after
+    the first size at which no A-side has room for the B threshold.  The
+    budget counts the A-sides of the sizes enumerated, each size's before
+    it starts.
     """
     thr_a, thr_b, _, _ = claims._stability_thresholds(space, params)
     n, a, b = space.get("n"), space.get("a"), space.get("b")
@@ -312,21 +317,20 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
 
     def pairs():
         nonlocal at_thresholds
-        meets = _cross_meets(n, a, b)
+        meet = _cross_meets(n, a, b).__getitem__
+        full_b = (1 << lb) - 1
         enumerated = 0
         for size_a in range(thr_a, la + 1):
+            enumerated += comb(la, size_a)
+            if enumerated > eff:
+                raise BudgetExceeded(f"cross-pair scan exceeded budget {eff}")
+            alive = False
             for combo in itertools.combinations(range(la), size_a):
-                enumerated += 1
-                if enumerated > eff:
-                    raise BudgetExceeded(f"cross-pair scan exceeded budget {eff}")
-                bmax = (1 << lb) - 1
-                for idx in combo:
-                    bmax &= meets[idx]
-                    if bmax == 0:
-                        break
+                bmax = functools.reduce(operator.and_, map(meet, combo), full_b)
                 room = bmax.bit_count()
                 if room < thr_b:
                     continue
+                alive = True
                 least_b = thr_b
                 if size_a == thr_a:
                     at_thresholds += comb(room, thr_b)
@@ -338,6 +342,8 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
                 for size_b in range(least_b, room + 1):
                     for bcombo in itertools.combinations(bbits, size_b):
                         yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
+            if not alive:
+                break
 
     tallies = _check_stream(check, pairs() if feasible else ())
     tallies["skipped"] += at_thresholds

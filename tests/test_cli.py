@@ -152,6 +152,33 @@ def test_huge_all_families_refused_quickly():
             assert f"holds 2^{comb(n, k)} instances" in out.stderr
 
 
+def test_huge_all_graphs_refused_quickly():
+    # at least 2^(C(n,2)-1) graphs: written out, the count at n = 170 has
+    # more digits than Python converts to text
+    for n in (60, 170):
+        start = time.perf_counter()
+        out = run_cli(["verify", "--claim", "graph-avoidance", "--space", f"all-graphs:n={n}"])
+        assert time.perf_counter() - start < 2
+        assert out.returncode == 3, (n, out.stderr)
+        assert f"holds at least 2^{comb(n, 2) - 1} instances" in out.stderr
+
+
+def test_wide_grid_axis_refused_without_building_it():
+    # the child reports its own exit code and peak RSS (KB on Linux)
+    probe = ("import resource, subprocess, sys; "
+             "code = subprocess.run(sys.argv[1:], capture_output=True).returncode; "
+             "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run(
+        [sys.executable, "-c", probe] + RUN
+        + ["verify", "--claim", "ratio-monotone",
+           "--space", "constructions-grid:name=params,m=0..2000000", "--budget", "10"],
+        capture_output=True, text=True, timeout=60,
+    )
+    code, peak_kb = map(int, out.stdout.split())
+    assert code == 3
+    assert peak_kb < 40 * 1024
+
+
 def test_budget_env_var_override():
     proc = subprocess.run(
         RUN + ["verify", "--claim", "shadow-colex-lower",

@@ -189,6 +189,13 @@ def test_kalai_even_n_splits_complement_pairs():
         assert (w in present) != ((full ^ w) in present)
 
 
+def test_kalai_circle_matches_member_test():
+    for n in range(3, 17):
+        assert kalai_circle(n).members == tuple(
+            w for w in range(1 << n) if kalai_member(w, n)
+        ), n
+
+
 def test_construction_spec_and_validation():
     assert len(build("L_uv", n=7, k=3, u=3, v=3)) == 13
     with pytest.raises(ValueError):

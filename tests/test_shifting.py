@@ -141,6 +141,40 @@ def test_is_shifted_matches_definition():
         assert is_shifted(f) == brute_force_shifted(f)
 
 
+def shifted_by_all_moves(f):
+    """Closure under every move of an element j down to a free i < j."""
+    present = f.member_set()
+    for member in f.members:
+        for j in elements_of(member):
+            for i in range(1, j):
+                bi = 1 << (i - 1)
+                if not member & bi and (member ^ (1 << (j - 1)) | bi) not in present:
+                    return False
+    return True
+
+
+def test_is_shifted_matches_all_moves_exhaustive():
+    for n in range(4):
+        for mask in range(1 << (1 << n)):
+            f = Family(n, [x for x in range(1 << n) if mask >> x & 1])
+            assert is_shifted(f) == shifted_by_all_moves(f), f
+    for n, k in ((4, 1), (4, 2), (5, 2), (5, 3)):
+        for f in all_subfamilies(n, k):
+            assert is_shifted(f) == shifted_by_all_moves(f), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=40))
+), st.booleans())
+def test_is_shifted_matches_all_moves_random(case, shift_first):
+    n, words = case
+    f = Family(n, words)
+    if shift_first:  # shifted families are rare among random ones
+        f = shift_to_shifted(f)[0]
+    assert is_shifted(f) == shifted_by_all_moves(f)
+
+
 def test_segments_already_shifted_identity_trace():
     seg = colex_segment(5, 6, 2)
     out, tr = shift_to_shifted(seg)

@@ -47,3 +47,19 @@ def test_traced_pair_kernels_give_the_untraced_reports():
     finally:
         tracer.uninstall()
     assert traced == plain
+
+
+def test_traced_cross_shift_and_circle_builds_give_the_untraced_reports():
+    # the cross-shift check looks the paired shift step up when it runs,
+    # and the grid builds its circle families through constructions.build
+    runs = (("cross-shift-preserves", "all-cross-pairs:n=4,a=2,b=2"),
+            ("kalai-properties", "constructions-grid:n=3..9,name=kalai_circle"))
+    plain = [verify(*run).canonical_json() for run in runs]
+    tracer = _load_tracer().install()
+    try:
+        traced = [verify(*run).canonical_json() for run in runs]
+        for span in ("shifting.cross_lex_shift_step", "constructions.build"):
+            assert tracer.stats[span].calls > 0, span
+    finally:
+        tracer.uninstall()
+    assert traced == plain

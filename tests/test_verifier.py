@@ -11,12 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shadowlab import claims, spaces, verifier
+from shadowlab import claims, shifting, spaces, verifier
 from shadowlab.claims import CLAIMS, is_r_wise_t_union
 from shadowlab.constructions import build
 from shadowlab.diversity import s_diversity
-from shadowlab.families import Family, is_r_wise_t_intersecting, matching_number
-from shadowlab.orders import Ordering, compare, level_words
+from shadowlab.families import Family, InvariantViolation, is_r_wise_t_intersecting, matching_number
+from shadowlab.orders import Ordering, compare, level_words, lex_segment
 from shadowlab.shifting import is_shifted
 from shadowlab.spaces import BudgetExceeded, InstanceSpace, _iter_down_sets, iter_space, space_size
 from shadowlab.verifier import Report, reverify, verify, verify_cross_pair_space
@@ -291,6 +291,76 @@ def test_cross_shift_preserves_claim():
         rep = verify("cross-shift-preserves", f"all-cross-pairs:a=2,b=2,n={n}")
         assert rep.violations == 0
         assert rep.checked > 0
+
+
+def _prep_cross_shift_uncertified(space, params):
+    """The cross-shift check as it was before certified states: every pair
+    walks all the way to its fixed point."""
+    n, a, b = space.get("n"), space.get("a"), space.get("b")
+
+    def check(pair):
+        fam_a, fam_b = pair
+        size_a, size_b = len(fam_a), len(fam_b)
+        try:
+            while (step := claims.cross_lex_shift_step(fam_a, fam_b)) is not None:
+                fam_a, fam_b = step[0], step[1]
+        except InvariantViolation as exc:
+            return "violation", str(exc)
+        if len(fam_a) != size_a or len(fam_b) != size_b:
+            return "violation", "sizes changed along the shift"
+        if fam_a != lex_segment(n, size_a, a) or fam_b != lex_segment(n, size_b, b):
+            return "violation", "fixed point is not a pair of lex segments"
+        return "ok", None
+
+    return check
+
+
+def _cross_shift_reports(monkeypatch, space):
+    """cross-shift-preserves on `space`, with and without certified states."""
+    certified = verify("cross-shift-preserves", space)
+    monkeypatch.setitem(claims._PREPARE, "cross-shift-preserves", _prep_cross_shift_uncertified)
+    uncertified = verify("cross-shift-preserves", space)
+    return certified, uncertified
+
+
+@pytest.mark.parametrize("nab", [(4, 2, 2), (5, 2, 2), (5, 2, 3)])
+def test_certified_cross_shift_matches_full_walks(monkeypatch, nab):
+    space = "all-cross-pairs:n={},a={},b={}".format(*nab)
+    certified, uncertified = _cross_shift_reports(monkeypatch, space)
+    assert certified.checked == uncertified.checked > 0
+    assert certified.canonical_json() == uncertified.canonical_json()
+
+
+def test_failed_walk_certifies_no_state(monkeypatch):
+    # a step planted to fail one move before the segments: every pair whose
+    # walk passes such a state must fail, not only the first to reach it
+    real = shifting.cross_lex_shift_step
+
+    def failing(fam_a, fam_b):
+        step = real(fam_a, fam_b)
+        if step is not None and real(step[0], step[1]) is None:
+            raise InvariantViolation("planted")
+        return step
+
+    monkeypatch.setattr(claims, "cross_lex_shift_step", failing)
+    certified, uncertified = _cross_shift_reports(monkeypatch, "all-cross-pairs:n=4,a=2,b=2")
+    assert certified.violations > 1
+    assert certified.canonical_json() == uncertified.canonical_json()
+
+
+def test_certified_states_live_for_one_verify(monkeypatch):
+    calls = []
+    real = shifting.cross_lex_shift_step
+
+    def counting(fam_a, fam_b):
+        calls.append(1)
+        return real(fam_a, fam_b)
+
+    monkeypatch.setattr(claims, "cross_lex_shift_step", counting)
+    for _ in range(2):
+        calls.clear()
+        verify("cross-shift-preserves", "all-cross-pairs:n=5,a=2,b=2")
+        assert len(calls) == 6212
 
 
 def test_shadow_stability_claim_on_grid():
@@ -768,6 +838,63 @@ def test_cross_stability_kernel_matches_generic_scan():
     # 6,212 pairs, the kernel never reaches the pairs below the thresholds
     assert generic["checked"] + generic["skipped"] == 6212
     assert via_kernel.skipped < generic["skipped"]
+
+
+def _cross_stability_loop(check, space, params, budget):
+    """The cross-stability kernel's loop as it was before its early stop:
+    every A-side of every size at or above the threshold, its room taken
+    member by member.  Returns the tallies and, per A size, the number of
+    A-sides with room for the B threshold."""
+    thr_a, thr_b, _, _ = claims._stability_thresholds(space, params)
+    n, a, b = space.get("n"), space.get("a"), space.get("b")
+    words_a, words_b = level_words(n, a), level_words(n, b)
+    la, lb = len(words_a), len(words_b)
+    meets = spaces._cross_meets(n, a, b)
+    roomy = {}
+    at_thresholds = 0
+
+    def pairs():
+        nonlocal at_thresholds
+        for size_a in range(thr_a, la + 1):
+            roomy[size_a] = 0
+            for combo in itertools.combinations(range(la), size_a):
+                bmax = (1 << lb) - 1
+                for idx in combo:
+                    bmax &= meets[idx]
+                    if bmax == 0:
+                        break
+                room = bmax.bit_count()
+                if room < thr_b:
+                    continue
+                roomy[size_a] += 1
+                least_b = thr_b
+                if size_a == thr_a:
+                    at_thresholds += comb(room, thr_b)
+                    least_b += 1
+                bbits = [j for j in range(lb) if bmax >> j & 1]
+                fam_a = Family(n, (words_a[i] for i in combo), k=a)
+                for size_b in range(least_b, room + 1):
+                    for bcombo in itertools.combinations(bbits, size_b):
+                        yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
+
+    feasible = thr_a <= la and thr_b <= lb
+    tallies = verifier._check_stream(check, pairs() if feasible else ())
+    tallies["skipped"] += at_thresholds
+    return tallies, roomy
+
+
+@pytest.mark.parametrize("nab", [(5, 2, 2), (6, 2, 2), (6, 2, 3), (6, 3, 3)])
+def test_cross_stability_kernel_matches_full_loop(nab):
+    space = InstanceSpace.make("all-cross-pairs", n=nab[0], a=nab[1], b=nab[2])
+    spec = CLAIMS["cross-diversity-stability"]
+    params = {"u": 3, "v": 3, "_notes": {}}
+    check = spec.prepare(space, params)
+    expected, roomy = _cross_stability_loop(check, space, params, None)
+    assert verifier._cross_stability_kernel(check, space, params, None) == expected
+    # the kernel stops at the first size without room: no later size has any
+    sizes = sorted(roomy)
+    dead = [size for size in sizes if not roomy[size]]
+    assert all(not roomy[size] for size in sizes if dead and size > dead[0])
 
 
 def test_cross_stability_reverify():
