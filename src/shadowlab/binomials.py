@@ -15,6 +15,7 @@ from fractions import Fraction
 from .families import Family, InvariantViolation
 
 Numeric = int | float | Fraction
+GAP_SAMPLES = 100  # grid steps across each interval check_gap_monotonicity samples
 
 
 def gbinom(x: Numeric, k: int) -> Numeric:
@@ -184,14 +185,17 @@ def bound_value(name: str, **params: Numeric) -> Numeric:
     return fn(**params)
 
 
-def check_named_params(what: str, name: str, wanted, params) -> None:
-    """Reject missing or extra parameters of a named bound or construction."""
+def check_named_params(what: str, name: str, wanted, params, integers: bool = False) -> None:
+    """Reject missing, extra and, with `integers`, non-integer named parameters."""
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing or extra:
         raise ValueError(
             f"{what} {name!r} takes {wanted}; missing {missing}, extra {extra}"
         )
+    for key, val in params.items():
+        if integers and not isinstance(val, int):
+            raise ValueError(f"{what} {name!r} needs an integer {key}=..., not {val!r}")
 
 
 def _req(cond: bool, why: str) -> None:
@@ -251,7 +255,7 @@ def stationary_gap(z: Numeric, m: int, t: int, s: int) -> Numeric:
     return gbinom(z, m - s) * num / den
 
 
-def check_gap_monotonicity(m: int, t: int, s: int, samples: int = 100) -> None:
+def check_gap_monotonicity(m: int, t: int, s: int) -> None:
     """Grid-check the monotonicity and boundary identities of the gap function.
 
     Raises InvariantViolation on any failure: non-monotone step on
@@ -268,9 +272,9 @@ def check_gap_monotonicity(m: int, t: int, s: int, samples: int = 100) -> None:
             raise InvariantViolation("gap is not constant at m = s+t-1")
         return
     if hi > lo:
-        step = Fraction(hi - lo, samples)
+        step = Fraction(hi - lo, GAP_SAMPLES)
         prev = weighted_binomial_gap(Fraction(lo), m, t, s)
-        for idx in range(1, samples + 1):
+        for idx in range(1, GAP_SAMPLES + 1):
             cur = weighted_binomial_gap(Fraction(lo) + idx * step, m, t, s)
             if cur <= prev:
                 raise InvariantViolation(
@@ -281,8 +285,8 @@ def check_gap_monotonicity(m: int, t: int, s: int, samples: int = 100) -> None:
     at_hi2 = weighted_binomial_gap(m - 2, m, t, s)
     if at_hi != at_hi2:
         raise InvariantViolation(f"gap({m-3}) != gap({m-2}): {at_hi} vs {at_hi2}")
-    step = Fraction(1, samples)
-    for idx in range(samples + 1):
+    step = Fraction(1, GAP_SAMPLES)
+    for idx in range(GAP_SAMPLES + 1):
         y = Fraction(m - 3) + idx * step
         if weighted_binomial_gap(y, m, t, s) < at_hi:
             raise InvariantViolation(f"gap({y}) fell below gap({m-3})")

@@ -1,7 +1,9 @@
 """The registered claims: each a named per-instance predicate, hypothesis ->
 conclusion, over the instance spaces it lists.
 
-``prepare`` turns a claim, a space and the claim's parameters into a check:
+A claim takes only the parameters its ``defaults`` declare, each an integer;
+``ClaimSpec.checked_params`` merges them and refuses any other.  ``prepare``
+turns a claim, a space and the checked parameters into a check:
 a function from one instance to a status, "skip" (hypothesis fails),
 "violation", "equality" (a bound met exactly) or "ok", and a detail that is
 set only for a violation.  Every check takes one instance shape: claims on
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, log
 
-from .binomials import bound_value, check_gap_monotonicity, gbinom, inv_gbinom, kk_bound
+from .binomials import bound_value, check_gap_monotonicity, check_named_params, gbinom
+from .binomials import inv_gbinom, kk_bound
 from .constructions import a2_family, l_family
 from .diversity import diversity, influence_profile, is_up_closed, kk_diversity, s_diversity
 from .families import (
@@ -53,6 +56,13 @@ class ClaimSpec:
     defaults: tuple[tuple[str, object], ...] = ()
     exploratory: object = None   # None | True | callable(space, params) -> bool
     finalize: object = None      # callable(report, space, params) -> None
+
+    def checked_params(self, params: dict | None) -> dict:
+        """The defaults updated by `params`; a name they do not declare, or a
+        value that is not an integer, is a ValueError, as in a space."""
+        merged = dict(self.defaults, **(params or {}))
+        check_named_params("claim", self.id, tuple(dict(self.defaults)), merged, integers=True)
+        return merged
 
     def prepare(self, space: InstanceSpace, params: dict):
         return _PREPARE[self.id](space, params)
@@ -325,7 +335,7 @@ def _stability_thresholds(space: InstanceSpace, params: dict):
     """(threshold_a, threshold_b, cap_a, cap_b) of the cross-pair stability
     claim: the size thresholds of its hypothesis and the diversity caps of
     its conclusion."""
-    u, v = int(params["u"]), int(params["v"])
+    u, v = params["u"], params["v"]
     if u < 3 or v < 3:
         raise ValueError("need u >= 3 and v >= 3")
     n, a, b = _cross_theorem_range(space)
@@ -370,7 +380,7 @@ def _stability_finalize(report, space, params) -> None:
     spaces=("all-cross-pairs",),
     defaults=(("u", 3), ("v", 3)),
     exploratory=lambda space, params: not (
-        int(params["u"]) <= space.get("a") and int(params["v"]) <= space.get("b")
+        params["u"] <= space.get("a") and params["v"] <= space.get("b")
     ),
     finalize=_stability_finalize,
 )
@@ -407,7 +417,7 @@ def _prep_cross_stability(space, params):
     defaults=(("r", 2), ("t", 1)),
 )
 def _prep_restriction_boost(space, params):
-    r, t = int(params["r"]), int(params["t"])
+    r, t = params["r"], params["t"]
 
     @_uniform
     def check(fam):
@@ -520,7 +530,7 @@ def _prep_graph_avoidance(space, params):
     exploratory=lambda space, params: not _rwise_in_range(space, params),
 )
 def _prep_rwise_diversity(space, params):
-    r, t = int(params["r"]), int(params["t"])
+    r, t = params["r"], params["t"]
 
     @_uniform
     def check(fam):
@@ -543,7 +553,7 @@ def _rwise_in_range(space: InstanceSpace, params: dict) -> bool:
     n, k = space.get("n"), space.get("k")
     if n is None or k is None:
         return False
-    r, t = int(params.get("r", 3)), int(params.get("t", 1))
+    r, t = params["r"], params["t"]
     return r >= 3 and t >= 1 and n > max(15, 2 * (r + t)) * k
 
 
@@ -556,7 +566,7 @@ def _rwise_in_range(space: InstanceSpace, params: dict) -> bool:
     exploratory=True,
 )
 def _prep_matching_diversity(space, params):
-    s = int(params["s"])
+    s = params["s"]
     n, k = space.get("n"), space.get("k")
     if k is None:
         raise ValueError("matching-diversity-max needs a uniform (n, k) space")
@@ -580,7 +590,7 @@ def _prep_matching_diversity(space, params):
     defaults=(("r", 2), ("t", 1)),
 )
 def _prep_shift_preserves(space, params):
-    r, t = int(params["r"]), int(params["t"])
+    r, t = params["r"], params["t"]
 
     def check(fam):
         inter = (
@@ -677,8 +687,6 @@ def _prep_shifted_structure(space, params):
     spaces=("all-shifted-families", "all-families", "random-sample", "constructions-grid"),
 )
 def _prep_intersecting_diversity(space, params):
-    fixed_u = params.get("u")
-
     @_uniform
     def check(fam):
         n, k = fam.n, fam.k
@@ -686,14 +694,9 @@ def _prep_intersecting_diversity(space, params):
             return "skip", None
         if not is_r_wise_t_intersecting(fam, 2, 1):
             return "skip", None
-        if fixed_u is not None:
-            u_values = [fixed_u]
-        else:
-            u_values = [3 + Fraction(i, 2) for i in range(2 * (k - 3) + 1)]
         gamma = diversity(fam).value
-        matched = False
-        equal = False
-        for u in u_values:
+        matched = equal = False
+        for u in (3 + Fraction(i, 2) for i in range(2 * (k - 3) + 1)):
             if gamma < gbinom(_as_number(n - u - 1), n - k - 1):
                 continue
             matched = True
@@ -714,12 +717,8 @@ def _prep_intersecting_diversity(space, params):
     return _with_mask_filter(check, space, _intersecting_filter)
 
 
-def _as_number(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    if isinstance(value, Fraction):
-        return float(value)
-    return value
+def _as_number(value: Fraction):
+    return int(value) if value.denominator == 1 else float(value)
 
 
 @_claim(
@@ -729,7 +728,7 @@ def _as_number(value):
     defaults=(("t", 2),),
 )
 def _prep_t_intersecting_max(space, params):
-    t = int(params["t"])
+    t = params["t"]
     n = space.get("n")
     cap = bound_value("t-intersecting-size", n=n, t=t)
 
@@ -794,7 +793,7 @@ def is_r_wise_t_union(fam: Family, r: int, t: int) -> bool:
     defaults=(("r", 2), ("t", 1)),
 )
 def _prep_complement_duality(space, params):
-    r, t = int(params["r"]), int(params["t"])
+    r, t = params["r"], params["t"]
 
     def check(fam):
         if fam.n < 1:

@@ -19,6 +19,7 @@ from .diversity import colex_diversity, diversity, influence, kk_diversity, s_di
 from .families import Family, InvariantViolation, word_of
 from .shifting import compress_to_colex, daykin_shift, shift_ij, shift_to_shifted
 from .families import shadow as family_shadow
+from .spaces import _parse_params
 from .verifier import BudgetExceeded, InstanceSpace, verify
 
 EX_USAGE = 64
@@ -48,12 +49,24 @@ def _read_family(path: str | None) -> Family:
         raise SystemExit(EX_IOERR)
 
 
-def _required(parser, args, wanted) -> dict:
-    """The values of the flags `args.name` needs; a missing one is a usage error."""
-    for flag in wanted:
-        if getattr(args, flag, None) is None:
+# Each diversity metric's function and the one flag it needs, if any.
+METRICS = {"gamma": (diversity, None), "s": (s_diversity, "s"),
+           "kk": (kk_diversity, "n"), "colex": (colex_diversity, "t")}
+
+
+def _flags(registry) -> tuple:
+    """Every parameter some entry of a (function, parameters) registry takes."""
+    return tuple(dict.fromkeys(p for _, wanted in registry.values() for p in wanted))
+
+
+def _given(parser, args, registry) -> dict:
+    """Every flag of the registry that was given.  A flag `args.name` needs
+    and was not given is a usage error; `args.name` refuses one it does not take."""
+    given = {flag: getattr(args, flag) for flag in _flags(registry)}
+    for flag in registry[args.name][1]:
+        if given[flag] is None:
             parser.error(f"{args.command} {args.name} needs --{flag}")
-    return {flag: getattr(args, flag) for flag in wanted}
+    return {flag: val for flag, val in given.items() if val is not None}
 
 
 def _num(text: str):
@@ -69,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_con = sub.add_parser("construct", parents=[], help="emit a named construction")
     p_con.add_argument("name", choices=sorted(CONSTRUCTIONS))
-    for flag in ("n", "k", "u", "v", "x", "y", "s", "r", "t"):
+    for flag in _flags(CONSTRUCTIONS):
         p_con.add_argument(f"--{flag}", type=int)
 
     p_sh = sub.add_parser("shadow", help="the l-shadow of a family")
@@ -77,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sh.add_argument("file", nargs="?")
 
     p_div = sub.add_parser("diversity", help="diversity metrics as JSON")
-    p_div.add_argument("--metric", choices=("gamma", "s", "kk", "colex"), default="gamma")
+    p_div.add_argument("--metric", choices=tuple(METRICS), default="gamma")
     p_div.add_argument("--s", type=int, help="avoided-set size for --metric s")
     p_div.add_argument("--n", type=int, help="cover size for --metric kk")
     p_div.add_argument("--t", type=int, help="segment size for --metric colex")
@@ -98,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_bound = sub.add_parser("bound", help="evaluate a named closed-form bound")
     p_bound.add_argument("--name", choices=sorted(BOUND_NAMES), required=True)
-    for flag in ("n", "k", "a", "b", "m", "u", "v", "x", "y", "r", "t"):
+    for flag in _flags(BOUND_NAMES):
         p_bound.add_argument(f"--{flag}", type=_num)
 
     p_inf = sub.add_parser("influence", help="coordinate influences as JSON")
@@ -118,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "construct":
-            params = _required(parser, args, CONSTRUCTIONS[args.name][1])
-            sys.stdout.write(build(args.name, **params).to_text())
+            sys.stdout.write(build(args.name, **_given(parser, args, CONSTRUCTIONS)).to_text())
             return 0
 
         if args.command == "shadow":
@@ -129,20 +141,13 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "diversity":
             fam = _read_family(args.file)
-            if args.metric == "gamma":
-                res = diversity(fam)
-            elif args.metric == "s":
-                if args.s is None:
-                    parser.error("--metric s needs --s")
-                res = s_diversity(fam, args.s)
-            elif args.metric == "kk":
-                if args.n is None:
-                    parser.error("--metric kk needs --n")
-                res = kk_diversity(fam, args.n)
-            else:
-                if args.t is None:
-                    parser.error("--metric colex needs --t")
-                res = colex_diversity(fam, args.t)
+            metric, wanted = METRICS[args.metric]
+            for _, flag in METRICS.values():
+                if flag not in (None, wanted) and getattr(args, flag) is not None:
+                    parser.error(f"--metric {args.metric} takes no --{flag}")
+            if wanted and getattr(args, wanted) is None:
+                parser.error(f"--metric {args.metric} needs --{wanted}")
+            res = metric(fam) if wanted is None else metric(fam, getattr(args, wanted))
             witness = res.witness if not isinstance(res.witness, tuple) else list(res.witness)
             print(json.dumps({"metric": args.metric, "value": res.value, "witness": witness}))
             return 0
@@ -177,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "bound":
-            print(bound_value(args.name, **_required(parser, args, BOUND_NAMES[args.name][1])))
+            print(bound_value(args.name, **_given(parser, args, BOUND_NAMES)))
             return 0
 
         if args.command == "influence":
@@ -194,12 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"--jobs must be at least 1, not {args.jobs}")
             if args.budget is not None and args.budget < 0:
                 parser.error(f"--budget must be at least 0, not {args.budget}")
-            params = {}
-            for token in args.param:
-                key, _, value = token.partition("=")
-                if not key or not value:
-                    parser.error(f"bad --param {token!r}")
-                params[key] = _num(value)
+            params = _parse_params(args.param, "--param")
             space = InstanceSpace.parse(args.space)
             if args.seed is not None:
                 if space.kind != "random-sample":

@@ -208,9 +208,10 @@ CONSTRUCTIONS = {
 
 
 def build(name: str, **params: int) -> Family:
-    """Build a named construction; extra or missing parameters are errors."""
+    """Build a named construction; extra, missing or non-integer parameters
+    are errors."""
     if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}; know {sorted(CONSTRUCTIONS)}")
     fn, wanted = CONSTRUCTIONS[name]
-    check_named_params("construction", name, wanted, params)
-    return fn(**{p: int(params[p]) for p in wanted})
+    check_named_params("construction", name, wanted, params, integers=True)
+    return fn(**params)

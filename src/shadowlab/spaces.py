@@ -81,20 +81,38 @@ class InstanceSpace:
         return default
 
     def describe(self) -> str:
-        body = ",".join(f"{k}={_format_value(v)}" for k, v in self.params)
-        return f"{self.kind}:{body}" if body else self.kind
+        return _label(self.kind, dict(self.params))
 
     @classmethod
     def parse(cls, text: str) -> "InstanceSpace":
-        kind, _, body = text.partition(":")
-        params = {}
-        if body:
-            for tok in body.split(","):
-                key, _, val = tok.partition("=")
-                if not key or not val:
-                    raise ValueError(f"bad space parameter {tok!r}")
-                params[key] = _parse_value(val)
+        kind, params = _parse_label(text)
         return cls.make(kind, **params)
+
+
+def _label(head: str, params: dict) -> str:
+    """`head:k=v,...` in key order, or `head` alone: a space's or a report's claim."""
+    body = ",".join(
+        f"{k}={v[1]}..{v[2]}" if isinstance(v, tuple) else f"{k}={v}"
+        for k, v in sorted(params.items())
+    )
+    return f"{head}:{body}" if body else head
+
+
+def _parse_label(text: str) -> tuple[str, dict]:
+    """The head and parameters of a `head:k=v,...` label."""
+    head, _, body = text.partition(":")
+    return head, _parse_params(body.split(",") if body else (), "parameter")
+
+
+def _parse_params(tokens, what: str) -> dict:
+    """`k=v` tokens as a dict of parsed values; refuses an empty key or value."""
+    params = {}
+    for tok in tokens:
+        key, _, val = tok.partition("=")
+        if not key or not val:
+            raise ValueError(f"bad {what} {tok!r}")
+        params[key] = _parse_value(val)
+    return params
 
 
 def _parse_value(text: str):
@@ -108,12 +126,6 @@ def _parse_value(text: str):
             return float(text)
         except ValueError:
             return text
-
-
-def _format_value(val) -> str:
-    if isinstance(val, tuple) and val and val[0] == "range":
-        return f"{val[1]}..{val[2]}"
-    return str(val)
 
 
 def space_size(space: InstanceSpace) -> int | None:

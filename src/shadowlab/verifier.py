@@ -41,8 +41,9 @@ from .spaces import (
     _cross_meets,
     _effective_budget,
     _iter_numbered,
+    _label,
     _mask_family,
-    _parse_value,
+    _parse_label,
     _refuse_over_budget,
     iter_space,
     space_size,
@@ -95,15 +96,10 @@ def reverify(report: Report | dict) -> bool:
     """Re-run the claim on every recorded counterexample; True iff each
     one still violates."""
     body = report.to_dict() if isinstance(report, Report) else report
-    claim_id, _, tail = body["claim"].partition(":")
-    embedded: dict = {}
-    for tok in tail.split(","):
-        key, _, val = tok.partition("=")
-        if key and val:
-            embedded[key] = _parse_value(val)
+    claim_id, params = _parse_label(body["claim"])
     spec = CLAIMS[claim_id]
     space = InstanceSpace.parse(body["space"])
-    check = spec.prepare(space, dict(spec.defaults, **embedded, _notes={}))
+    check = spec.prepare(space, dict(spec.checked_params(params), _notes={}))
     return all(
         check(_instance_from_payload(entry["instance"]))[0] == "violation"
         for entry in body["counterexamples"]
@@ -309,9 +305,6 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
     notes = params["_notes"]
     notes["threshold_a"] = thr_a
     notes["threshold_b"] = thr_b
-    feasible = thr_a <= la and thr_b <= lb
-    if not feasible:
-        notes["vacuous"] = True
     eff = _effective_budget(budget)
     at_thresholds = 0
 
@@ -345,7 +338,7 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
             if not alive:
                 break
 
-    tallies = _check_stream(check, pairs() if feasible else ())
+    tallies = _check_stream(check, pairs())
     tallies["skipped"] += at_thresholds
     return tallies
 
@@ -396,10 +389,10 @@ def verify(
         raise ValueError(
             f"claim {claim_id!r} runs on {spec.spaces}, not {space.kind!r}"
         )
-    merged = dict(spec.defaults, **(params or {}))
+    checked = spec.checked_params(params)
     t0 = time.perf_counter()
-    report = Report(_claim_label(claim_id, merged), space.describe())
-    merged["_notes"] = report.notes
+    report = Report(_label(claim_id, checked), space.describe())
+    merged = dict(checked, _notes=report.notes)
     _refuse_over_budget(space, budget)
     check = spec.prepare(space, merged)
 
@@ -407,7 +400,7 @@ def verify(
     if kernel is not None:
         tallies = kernel(check, space, merged, budget)
     else:
-        tallies = _scan(spec, check, space, merged, jobs or 1, budget)
+        tallies = _scan(spec, check, space, checked, jobs or 1, budget)
     vars(report).update(tallies)  # counts and recorded lists, each a Report field
 
     if spec.exploratory is True:
@@ -418,14 +411,6 @@ def verify(
         spec.finalize(report, space, merged)
     report.seconds = round(time.perf_counter() - t0, 6)
     return report
-
-
-def _claim_label(claim_id: str, params: dict) -> str:
-    shown = {k: v for k, v in params.items() if not k.startswith("_")}
-    if not shown:
-        return claim_id
-    body = ",".join(f"{k}={v}" for k, v in sorted(shown.items()))
-    return f"{claim_id}:{body}"
 
 
 def _scan(spec: ClaimSpec, check, space, params, jobs, budget) -> dict:
@@ -444,10 +429,9 @@ def _scan(spec: ClaimSpec, check, space, params, jobs, budget) -> dict:
         return _check_range(check, space, (0, total))
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when a pool starts
 
-    plain = {k: v for k, v in params.items() if not k.startswith("_")}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_worker_scan, spec.id, space.describe(), plain, blk)
+            pool.submit(_worker_scan, spec.id, space.describe(), params, blk)
             for blk in blocks
         ]
         partials = [f.result() for f in futures]

@@ -236,6 +236,79 @@ def test_usage_error_exit_64():
         assert "Traceback" not in out.stderr
 
 
+def _exit_code(argv, stdin=""):
+    """The exit code of the CLI run in this process on argv."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        sys.stdin = saved
+
+
+def test_claim_parameters_are_checked(capsys):
+    # a claim takes only the integer parameters it declares, as a space does
+    for claim, space, param in (
+        ("rwise-diversity", "all-families:n=4,k=2", "r=2.5"),
+        ("rwise-diversity", "all-families:n=4,k=2", "r=abc"),
+        ("rwise-diversity", "all-families:n=4,k=2", "r=1..3"),
+        ("rwise-diversity", "all-families:n=4,k=2", "R=2"),
+        ("rwise-diversity", "all-families:n=4,k=2", "r"),
+        ("shifted-structure", "all-families:n=4,k=2", "x=1"),
+        ("intersecting-diversity-size", "all-families:n=4,k=2", "u=3"),
+        ("cross-diversity-stability", "all-cross-pairs:n=5,a=2,b=2", "u=3.9"),
+    ):
+        argv = ["verify", "--claim", claim, "--space", space, "--param", param, "--jobs", "1"]
+        assert _exit_code(argv) == 64, (claim, param)
+        err = capsys.readouterr().err
+        assert param.partition("=")[0] in err and "Traceback" not in err
+    # declared integers run as before, and the report's label names them all
+    for claim, space, param, code, label in (
+        ("rwise-diversity", "all-families:n=4,k=2", "r=2", 0, "rwise-diversity:r=2,t=1"),
+        ("cross-diversity-stability", "all-cross-pairs:n=5,a=2,b=2", "u=3", 2,
+         "cross-diversity-stability:u=3,v=3"),
+    ):
+        argv = ["verify", "--claim", claim, "--space", space, "--param", param, "--jobs", "1"]
+        assert _exit_code(argv) == code
+        assert json.loads(capsys.readouterr().out)["claim"] == label
+
+
+def test_flags_a_target_does_not_take_exit_64(capsys):
+    star = "n=4 k=2\n1,2\n1,3\n1,4\n"
+    for argv in (
+        ["construct", "star", "--n", "4", "--k", "2", "--x", "9"],
+        ["bound", "--name", "kk", "--m", "4", "--k", "2", "--n", "7"],
+        ["diversity", "--metric", "gamma", "--s", "2"],
+        ["diversity", "--metric", "kk", "--n", "4", "--t", "2"],
+    ):
+        assert _exit_code(argv, stdin=star) == 64, argv
+        assert "Traceback" not in capsys.readouterr().err
+    # the flags each target takes still work, and a missing one is named
+    assert _exit_code(["construct", "star", "--n", "4", "--k", "2"]) == 0
+    assert capsys.readouterr().out == star
+    assert _exit_code(["diversity", "--metric", "s", "--s", "1"], stdin=star) == 0
+    assert json.loads(capsys.readouterr().out)["metric"] == "s"
+    assert _exit_code(["diversity", "--metric", "colex"], stdin=star) == 64
+    assert "--metric colex needs --t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claim, space, budget", [
+    # at the A threshold 10, the C(20,10) = 184,756 A-sides exceed the budget
+    ("cross-diversity-stability", "all-cross-pairs:n=6,a=3,b=3", "100000"),
+    # 66 shifted (6,3) families make 66^2 ordered pairs
+    ("shifted-correlation", "all-shifted-families:n=6,k=3", "1000"),
+])
+def test_pair_kernels_stop_at_the_budget(claim, space, budget):
+    start = time.perf_counter()
+    out = run_cli(["verify", "--claim", claim, "--space", space,
+                   "--budget", budget, "--jobs", "1"])
+    assert time.perf_counter() - start < 2
+    assert out.returncode == 3, out.stderr
+    assert "budget" in out.stderr
+
+
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_verify_empty_random_sample(jobs):
     out = run_cli(["verify", "--claim", "shadow-colex-lower", "--jobs", jobs,

@@ -210,6 +210,16 @@ def test_construction_spec_and_validation():
         kalai_circle(2)
 
 
+def test_build_refuses_non_integer_parameters():
+    # a float is refused, never truncated to the n=4 star
+    for bad in (4.7, 4.0, "4"):
+        with pytest.raises(ValueError, match="integer"):
+            build("star", n=bad, k=2)
+    with pytest.raises(ValueError, match="extra"):
+        build("star", n=4, k=2, x=9)
+    assert len(build("star", n=4, k=2)) == 3
+
+
 def test_segment_constructions_delegate():
     assert build("colex_seg", n=5, t=4, k=2) == colex_segment(5, 4, 2)
     assert build("lex_seg", n=5, t=4, k=2) == lex_segment(5, 4, 2)

@@ -437,6 +437,25 @@ def test_graph_kernel_features_match_the_check(monkeypatch):
         assert kernel["counterexamples"] == generic["counterexamples"]
 
 
+@pytest.mark.parametrize("mode", ["colex", "real"])
+def test_shadow_kernel_violations_match_the_check(monkeypatch, mode):
+    # With every floor above any shadow, each family the bound does not skip
+    # is a violation, recorded by the kernel as by the generic scan.
+    verdict = claims._shadow_verdict
+
+    def unreachable(mode, n, k, size):
+        return None if verdict(mode, n, k, size) is None else (comb(n, k - 1) + 1, True)
+
+    monkeypatch.setattr(claims, "_shadow_verdict", unreachable)
+    space = InstanceSpace.make("all-families", n=5, k=2)
+    spec = CLAIMS[f"shadow-{mode}-lower"]
+    check = spec.prepare(space, {})
+    kernel = verifier._shadow_kernel(check, space, mode)
+    assert kernel == verifier._scan(spec, check, space, {}, 1, None)
+    assert kernel["violations"] == {"colex": 1024, "real": 1023}[mode]
+    assert len(kernel["counterexamples"]) == verifier.MAX_RECORDED
+
+
 def test_rwise_diversity_exploratory_flag():
     rep = verify("rwise-diversity", "all-families:n=5,k=3", params={"r": 3, "t": 1})
     assert rep.exploratory
@@ -811,6 +830,18 @@ def test_cross_pair_space_validation():
         verify_cross_pair_space(4, 3, 3, u=3, v=3)  # n < a+b
 
 
+def test_stability_thresholds_stay_within_the_levels():
+    # thr_a <= C(n-1,a-1) + C(n-u-1,n-a-1) <= C(n,a), and so for B: the
+    # cross-stability kernel never starts past a level's size
+    for n in range(2, 14):
+        for a in range(1, n):
+            for b in range(1, n - a + 1):
+                space = InstanceSpace.make("all-cross-pairs", n=n, a=a, b=b)
+                for u, v in itertools.product(range(3, 9), repeat=2):
+                    thr_a, thr_b, _, _ = claims._stability_thresholds(space, {"u": u, "v": v})
+                    assert thr_a <= comb(n, a) and thr_b <= comb(n, b), (n, a, b, u, v)
+
+
 def test_cross_pair_claim_via_engine():
     assert "cross-diversity-stability" in CLAIMS
     rep = verify(
@@ -907,4 +938,75 @@ def test_cross_stability_reverify():
         "instance": {"A": "n=5 k=2\n1,2\n", "B": "n=5 k=2\n1,3\n"},
         "detail": "swapped",
     }
+    assert not reverify(body)
+
+
+@pytest.mark.parametrize("claim, space, params", [
+    ("rwise-diversity", "all-families:n=4,k=2", {"r": 2.5}),
+    ("rwise-diversity", "all-families:n=4,k=2", {"R": 2}),
+    ("rwise-diversity", "all-families:n=4,k=2", {"r": ("range", 1, 3)}),
+    ("shifted-structure", "all-families:n=4,k=2", {"x": 1}),
+    ("intersecting-diversity-size", "all-families:n=4,k=2", {"u": 3}),
+    ("cross-diversity-stability", "all-cross-pairs:n=5,a=2,b=2", {"u": 3.9}),
+])
+def test_verify_refuses_undeclared_and_non_integer_parameters(claim, space, params):
+    with pytest.raises(ValueError, match=f"claim '{claim}'"):
+        verify(claim, space, params=params, jobs=1)
+
+
+def test_checked_params_merge_the_defaults():
+    spec = CLAIMS["rwise-diversity"]
+    assert spec.checked_params(None) == {"r": 3, "t": 1}
+    assert spec.checked_params({"r": 2}) == {"r": 2, "t": 1}
+    assert CLAIMS["shifted-structure"].checked_params({}) == {}
+
+
+def test_reverify_checks_the_label_parameters():
+    rep = verify("rwise-diversity", "all-shifted-families:n=6,k=4", params={"r": 2, "t": 2})
+    assert rep.claim == "rwise-diversity:r=2,t=2"
+    assert reverify(rep)
+    # the label's parameters are checked as verify checks them, and a
+    # malformed token is refused rather than skipped
+    for label in (
+        "rwise-diversity:r=2.5,t=2",
+        "rwise-diversity:R=2,r=2,t=2",
+        "rwise-diversity:r=2,,t=2",
+        "rwise-diversity:r=2,t",
+    ):
+        with pytest.raises(ValueError):
+            reverify(dict(rep.to_dict(), claim=label))
+
+
+def test_labels_share_the_space_grammar():
+    for text, parsed in (
+        ("rwise-diversity:r=2,t=1", ("rwise-diversity", {"r": 2, "t": 1})),
+        ("shifted-structure", ("shifted-structure", {})),
+        ("constructions-grid:n=3..5,name=star",
+         ("constructions-grid", {"n": ("range", 3, 5), "name": "star"})),
+    ):
+        assert spaces._parse_label(text) == parsed
+        assert spaces._label(*parsed) == text
+    with pytest.raises(ValueError):
+        InstanceSpace.parse("all-families:n=4,,k=2")
+
+
+def test_instance_payloads_round_trip():
+    fam = build("star", n=4, k=2)
+    pair = (fam, build("full_level", n=4, k=2))
+    for inst in (fam, pair, ({"n": 4, "k": 2}, fam), ({"m": 5}, None)):
+        payload = json.loads(json.dumps(verifier._instance_payload(inst)))
+        assert verifier._instance_from_payload(payload) == inst
+
+
+def test_reverify_replays_grid_points(monkeypatch):
+    def unreachable(mode, n, k, size):
+        return comb(n, k - 1) + 1, True
+
+    monkeypatch.setattr(claims, "_shadow_verdict", unreachable)
+    rep = verify("shadow-colex-lower", "constructions-grid:k=2,n=4..5,name=star")
+    assert rep.violations == 2
+    assert reverify(rep)
+    # the check skips a grid point without a family: it violates nothing
+    body = rep.to_dict()
+    body["counterexamples"][0]["instance"]["family"] = None
     assert not reverify(body)
