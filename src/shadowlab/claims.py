@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, log
@@ -44,7 +45,7 @@ from .families import (
     trace,
 )
 from .orders import level, lex_segment
-from .shifting import compress_to_colex, cross_lex_shift_step, is_shifted, shift_ij
+from .shifting import _colex_walk, cross_lex_shift_step, is_shifted, shift_ij
 from .spaces import InstanceSpace, _intersecting_filter, _shifted_filter, _with_mask_filter
 
 
@@ -263,12 +264,32 @@ def _prep_shifted_correlation(space, params):
     spaces=("all-families", "random-sample", "constructions-grid"),
 )
 def _prep_compression_monotone(space, params):
+    """Each family's colex walk, stopped at a certified state.
+
+    The walk is `shifting._colex_walk`, the step generator that
+    `compress_to_colex` drains, with every certificate of each step it
+    takes.  A state, keyed by its level-index mask within its (n, k)
+    level, is certified once a walk through it reached the colex segment
+    without InvariantViolation.  The walk from a state depends only on its
+    member set, so a later walk stops there before it builds any shadow
+    counts: the rest is the tail already certified.  A walk that raises
+    certifies nothing.  The set lives as long as the prepared check, one
+    `verify` call in each worker.
+    """
+    certified: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+
     @_uniform
     def check(fam):
+        seen = certified[fam.n, fam.k]
+        trail = []
         try:
-            compress_to_colex(fam)
+            for mask, _ in _colex_walk(fam):
+                if mask in seen:
+                    break
+                trail.append(mask)
         except InvariantViolation as exc:
             return "violation", str(exc)
+        seen.update(trail)
         return "ok", None
 
     return check

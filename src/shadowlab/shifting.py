@@ -10,7 +10,7 @@ One step rule serves every shift: `_daykin_pairs` returns the (old, new)
 word pairs a U<-V shift moves.  The Family-level shifts build their result
 from those pairs, and the step certificates read them: the element sum of
 `shift_to_shifted`, and the colex-rank sum and immediate-shadow counts that
-`compress_to_colex` carries between steps instead of a Family.
+the colex walk `_colex_walk` carries between steps instead of a Family.
 """
 
 from __future__ import annotations
@@ -213,8 +213,12 @@ def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     Returns None exactly when the family is a colex initial segment.
     Among violating pairs the choice is by smallest |U|, then colex rank
     of V, then colex rank of U.  Every violating pair arises as
-    (G - F, F - G) for a member F and an absent G < F, so the scan runs
-    over those couples.
+    (G - F, F - G) for a member F and an absent G < F.
+
+    The least |U| is 1 unless the family is shifted, so single elements
+    are tried first: V = {y} by increasing y, then U = {x} by increasing
+    x < y, until the x<-y shift moves a member.  Only when none does is
+    the scan run over the (F, G) couples.
     """
     if fam.k is None:
         raise ValueError("colex violation search needs a uniform family")
@@ -222,6 +226,14 @@ def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     if not present:
         return None
     members = fam.members
+    for y in range(1, fam.n):
+        v = 1 << y
+        holders = [f for f in members if f & v]
+        for x in range(y):
+            uv = v | 1 << x
+            for f in holders:
+                if f & uv == v and f ^ uv not in present:
+                    return uv ^ v, v
     top_member = members[-1]
     # The key's |U| is k - |F & G|, so the least |U| is the most shared.
     most_shared = -1
@@ -259,14 +271,23 @@ class _Carried:
         return self.present
 
 
-def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
-    """Apply colex-chosen Daykin shifts until the family is a colex segment.
+def _colex_walk(fam: Family):
+    """Colex compression of `fam`, one state at a time: the one step loop
+    behind `compress_to_colex` and the compression claim's check.
 
-    Between steps the compression carries its members (a sorted list and a
-    present set) and one count per (k-1)-set of how many members contain
-    it, with the number of nonzero counts: the immediate shadow size.  A
-    step touches only the (old, new) word pairs it moves, and every step
-    is certified from them and the cached level table:
+    A state is keyed by its level-index mask, bit i set when the i-th word
+    of the colex-ordered level is a member.  The walk yields (mask, None)
+    for the input before it builds anything else, then (mask, step) after
+    each certified step; a caller may stop at any yield.  A step that fails
+    a certificate raises InvariantViolation, and so does a fixed point
+    whose mask is not the colex segment of the family's size, its |F|
+    lowest bits.
+
+    Between steps the walk carries its members (a sorted list and a present
+    set), the mask (two XORs per moved pair) and one count per (k-1)-set of
+    how many members contain it, with the number of nonzero counts: the
+    immediate shadow size.  A step touches only the (old, new) word pairs
+    it moves, and is certified from them and the cached level table:
 
     - size: every image is free and the present set keeps its size;
     - shadow: the new words' shadow counts go up and the old words' go
@@ -274,15 +295,15 @@ def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
       not grow;
     - rank: the colex indices of the new words minus those of the old
       words must sum below 0, so the colex-rank sum strictly drops.
-
-    The fixed point must be the colex segment of the family's size: the
-    first |F| words of the level.  The result is the one Family the
-    compression builds, and the input itself when no step moved.
     """
     if fam.k is None:
         raise ValueError("colex compression needs a uniform family")
     table = level(fam.n, fam.k)
     index, shadows = table.index, table.shadows
+    mask = 0
+    for w in fam.members:
+        mask |= 1 << index[w]
+    yield mask, None
     state = _Carried(fam)
     members, present = state.members, state.present
     size = len(present)
@@ -291,7 +312,6 @@ def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
         for s in shadows[index[w]]:
             counts[s] += 1
     shadow_size = len(counts) - counts.count(0)
-    steps = []
     while (hit := find_colex_violation(state)) is not None:
         u, v = hit
         pairs = _daykin_pairs(members, present, u, v)
@@ -303,6 +323,7 @@ def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
             insort(members, new)
             i, j = index[new], index[old]
             delta += i - j
+            mask ^= (1 << i) ^ (1 << j)
             for s in shadows[i]:
                 if not counts[s]:
                     grown += 1
@@ -321,11 +342,24 @@ def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
         if delta >= 0:
             raise InvariantViolation("colex-rank potential did not drop")
         shadow_size = grown
-        steps.append(ShiftStep("daykin", u=u, v=v, moved=len(pairs)))
-    if tuple(members) != table.words[:size]:
+        yield mask, ShiftStep("daykin", u=u, v=v, moved=len(pairs))
+    if mask != (1 << size) - 1:
         raise InvariantViolation("compression fixed point is not the colex segment")
-    out = Family(fam.n, members, k=fam.k) if steps else fam
-    return out, ShiftTrace(tuple(steps))
+
+
+def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
+    """Apply colex-chosen Daykin shifts until the family is a colex segment.
+
+    The steps and their certificates (size, shadow not grown, colex-rank
+    drop, fixed point equal to the segment) are those of `_colex_walk`,
+    drained here into the trace.  The result is the one Family the
+    compression builds, the first |F| words of the level, and the input
+    itself when no step moved.
+    """
+    steps = tuple(step for _, step in _colex_walk(fam) if step is not None)
+    if not steps:
+        return fam, ShiftTrace()
+    return Family(fam.n, level(fam.n, fam.k).words[:len(fam)], k=fam.k), ShiftTrace(steps)
 
 
 def _lex_violation(fam: Family) -> tuple[int, tuple, tuple, int, int] | None:

@@ -34,9 +34,10 @@ class BudgetExceeded(RuntimeError):
 
 
 # Each kind's required parameters, then the optional ones checked when
-# present; no others are accepted, except the grid's axes.  All are integers
-# except the grid's name, which is "params" or a key of CONSTRUCTIONS, and a
-# sample's count may not be negative.
+# present; no others are accepted, except the grid's axes, each an integer
+# or an integer range lo..hi.  All are integers except the grid's name, which
+# is "params" or a key of CONSTRUCTIONS, and a sample's count may not be
+# negative.
 SPACE_KINDS = {
     "all-families": (("n", "k"), ()),
     "all-shifted-families": (("n", "k"), ()),
@@ -61,6 +62,9 @@ class InstanceSpace:
         unknown = sorted(set(params) - set(required + optional))
         if unknown and kind != "constructions-grid":
             raise ValueError(f"{kind} takes no parameter {', '.join(unknown)}")
+        for key in unknown:  # the grid's axes
+            if not _integer_axis(params[key]):
+                raise ValueError(f"{kind} needs an integer or an integer range {key}=...")
         for key in required + tuple(key for key in optional if key in params):
             val = params.get(key)
             if key == "name":
@@ -157,6 +161,13 @@ def _axis_values(val) -> range | list:
     if isinstance(val, tuple) and val and val[0] == "range":
         return range(val[1], val[2] + 1)
     return [val]
+
+
+def _integer_axis(val) -> bool:
+    """A grid axis is an integer or a range ("range", lo, hi) of integers."""
+    if isinstance(val, tuple) and len(val) == 3 and val[0] == "range":
+        return all(isinstance(end, int) for end in val[1:])
+    return isinstance(val, int)
 
 
 def _grid_points(space: InstanceSpace):

@@ -97,13 +97,20 @@ def reverify(report: Report | dict) -> bool:
     one still violates."""
     body = report.to_dict() if isinstance(report, Report) else report
     claim_id, params = _parse_label(body["claim"])
-    spec = CLAIMS[claim_id]
+    spec = _claim_spec(claim_id)
     space = InstanceSpace.parse(body["space"])
     check = spec.prepare(space, dict(spec.checked_params(params), _notes={}))
     return all(
         check(_instance_from_payload(entry["instance"]))[0] == "violation"
         for entry in body["counterexamples"]
     )
+
+
+def _claim_spec(claim_id: str) -> ClaimSpec:
+    """The registered claim `claim_id`; an unknown one is a ValueError."""
+    if claim_id not in CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}; know {sorted(CLAIMS)}")
+    return CLAIMS[claim_id]
 
 
 def _instance_payload(inst) -> object:
@@ -380,9 +387,7 @@ def verify(
     budget: int | None = None,
 ) -> Report:
     """Check one claim over one instance space and return the Report."""
-    if claim_id not in CLAIMS:
-        raise ValueError(f"unknown claim {claim_id!r}; know {sorted(CLAIMS)}")
-    spec = CLAIMS[claim_id]
+    spec = _claim_spec(claim_id)
     if isinstance(space, str):
         space = InstanceSpace.parse(space)
     if space.kind not in spec.spaces:

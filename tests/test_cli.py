@@ -275,6 +275,24 @@ def test_claim_parameters_are_checked(capsys):
         assert json.loads(capsys.readouterr().out)["claim"] == label
 
 
+def test_non_integer_grid_axis_exit_64(capsys):
+    # a grid axis other than its name is an integer or an integer range; a
+    # float or a word used to reach the construction and skip every point
+    for space, axis in (
+        ("constructions-grid:k=2,n=4.5,name=star", "n"),
+        ("constructions-grid:k=2,n=four,name=star", "n"),
+        ("constructions-grid:k=2.0,n=4..5,name=star", "k"),
+    ):
+        argv = ["verify", "--claim", "shadow-colex-lower", "--space", space, "--jobs", "1"]
+        assert _exit_code(argv) == 64, space
+        err = capsys.readouterr().err
+        assert f"{axis}=" in err and "Traceback" not in err
+    argv = ["verify", "--claim", "shadow-colex-lower",
+            "--space", "constructions-grid:k=2,n=4..5,name=star", "--jobs", "1"]
+    assert _exit_code(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == 2
+
+
 def test_flags_a_target_does_not_take_exit_64(capsys):
     star = "n=4 k=2\n1,2\n1,3\n1,4\n"
     for argv in (

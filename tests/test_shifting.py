@@ -399,6 +399,23 @@ def test_level_table_matches_rank_and_shadow(f):
         assert len(union) == len(shadow(f, f.k - 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(uniform_families())
+def test_violation_search_matches_reference(f):
+    assert find_colex_violation(f) == _reference_violation(f)
+
+
+def test_violation_search_on_shifted_families():
+    # a shifted family has no single-element violation, so its search is
+    # the scan over couples; every shifted family of these levels is tried
+    from shadowlab.spaces import InstanceSpace, iter_space
+
+    for n, k in ((5, 2), (6, 3), (7, 2), (7, 4)):
+        shifted = iter_space(InstanceSpace.make("all-shifted-families", n=n, k=k))
+        for f in shifted:
+            assert find_colex_violation(f) == _reference_violation(f)
+
+
 def test_compress_reads_no_shadow_or_colex_rank(monkeypatch):
     # the level table is the only source of both certificates
     def refuse(*args):

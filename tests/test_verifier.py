@@ -363,6 +363,95 @@ def test_certified_states_live_for_one_verify(monkeypatch):
         assert len(calls) == 6212
 
 
+def _prep_compression_uncertified(space, params):
+    """The compression check without certified states: every family's
+    compression walks all the way to its fixed point."""
+    @claims._uniform
+    def check(fam):
+        try:
+            shifting.compress_to_colex(fam)
+        except InvariantViolation as exc:
+            return "violation", str(exc)
+        return "ok", None
+
+    return check
+
+
+def _compression_reports(space, jobs=1):
+    """compression-shadow-monotone on `space`, with and without certified states."""
+    claim = "compression-shadow-monotone"
+    certified = verify(claim, space, jobs=jobs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(claims._PREPARE, claim, _prep_compression_uncertified)
+        uncertified = verify(claim, space, jobs=jobs)
+    return certified, uncertified
+
+
+@pytest.mark.parametrize("space, jobs", [
+    ("all-families:n=4,k=2", 1),
+    ("all-families:n=5,k=2", 1),
+    ("all-families:n=5,k=3", 1),
+    ("constructions-grid:k=2..3,n=4..6,name=lex_seg,t=1..6", 1),
+    # the first 2,000 families of acceptance criterion 2's sample
+    ("random-sample:count=2000,k=3,n=7,seed=31415", 1),
+    ("random-sample:count=2000,k=3,n=7,seed=31415", 2),
+])
+def test_certified_compression_matches_full_walks(space, jobs):
+    certified, uncertified = _compression_reports(space, jobs)
+    assert certified.checked == uncertified.checked > 0
+    assert certified.canonical_json() == uncertified.canonical_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       count=st.integers(0, 80), seed=st.integers(0, 1000))
+def test_certified_compression_matches_full_walks_on_samples(level, count, seed):
+    n, k = level
+    certified, uncertified = _compression_reports(
+        f"random-sample:count={count},k={k},n={n},seed={seed}")
+    assert certified.canonical_json() == uncertified.canonical_json()
+
+
+def test_failed_compression_certifies_no_state(monkeypatch):
+    # a step planted to fail one move before the colex segment, at every
+    # even family size: each family whose walk passes such a state must
+    # fail, not only the first to reach it, while odd sizes certify states
+    real = shifting.find_colex_violation
+
+    def planted(state):
+        hit = real(state)
+        if hit is not None:
+            uv, v = hit[0] | hit[1], hit[1]
+            present = state.member_set()
+            after = {w ^ uv if w & uv == v and w ^ uv not in present else w
+                     for w in state.members}
+            if len(after) % 2 == 0 and after == set(level_words(state.n, state.k)[:len(after)]):
+                return 0, 0  # moves nothing, so the colex rank does not drop
+        return hit
+
+    monkeypatch.setattr(shifting, "find_colex_violation", planted)
+    certified, uncertified = _compression_reports("all-families:n=5,k=2")
+    assert 1 < certified.violations < certified.checked
+    assert certified.canonical_json() == uncertified.canonical_json()
+
+
+def test_compression_certified_states_live_for_one_verify(monkeypatch):
+    calls = []
+    real = shifting.find_colex_violation
+
+    def counting(state):
+        calls.append(1)
+        return real(state)
+
+    monkeypatch.setattr(shifting, "find_colex_violation", counting)
+    # the 2^10 families are all the states of the level, and each is
+    # searched once; full walks would search 5,243 times
+    for _ in range(2):
+        calls.clear()
+        verify("compression-shadow-monotone", "all-families:n=5,k=2")
+        assert len(calls) == 1 << 10
+
+
 def test_shadow_stability_claim_on_grid():
     rep = verify(
         "shadow-diversity-stability",
@@ -975,6 +1064,14 @@ def test_reverify_checks_the_label_parameters():
     ):
         with pytest.raises(ValueError):
             reverify(dict(rep.to_dict(), claim=label))
+
+
+def test_reverify_refuses_an_unknown_claim():
+    body = verify("shifted-structure", "all-families:n=4,k=2").to_dict()
+    for call in (lambda: reverify(dict(body, claim="no-such-claim")),
+                 lambda: verify("no-such-claim", "all-families:n=4,k=2")):
+        with pytest.raises(ValueError, match="unknown claim 'no-such-claim'; know"):
+            call()
 
 
 def test_labels_share_the_space_grammar():
