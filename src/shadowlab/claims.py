@@ -15,14 +15,14 @@ pair claims (A, B).  A value is held against its bound through ``_against``.
 A prepared check may carry a ``mask_filter``: a predicate on the level
 masks of all-families and of a uniform random-sample that rejects only
 instances the check itself would skip (not shifted, or not pairwise
-intersecting).  The shared verdicts ``_shadow_verdict`` and
-``_graph_verdict`` are also read by the verifier's kernels.
+intersecting).  The verifier's kernels read the checks' own verdicts
+(``_shadow_verdict``, ``_graph_verdict``) and hypothesis
+(``_stability_hypothesis``).  Both walking claims go through ``_walk_certified``.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +45,7 @@ from .families import (
     trace,
 )
 from .orders import level, lex_segment
-from .shifting import _colex_walk, cross_lex_shift_step, is_shifted, shift_ij
+from .shifting import _colex_walk, _cross_lex_walk, is_shifted, shift_ij
 from .spaces import InstanceSpace, _intersecting_filter, _shifted_filter, _with_mask_filter
 
 
@@ -90,6 +90,34 @@ def _against(value, bound, worse: str, detail: str, *args, tol=0) -> tuple[str, 
         return "violation", detail.format(*args)
     if abs(value - bound) <= tol:
         return "equality", None
+    return "ok", None
+
+
+# The most keys a certified set holds.  A walk that misses the set walks on
+# to its end, so the cap only makes walks longer and never changes a verdict.
+MAX_CERTIFIED = 1 << 16
+
+
+def _walk_certified(walk, seen: set[int]) -> tuple[str, str | None]:
+    """Drive a step generator of (key, step) against the certified keys `seen`.
+
+    The walk stops at the first key in `seen`: the walk from a state depends
+    only on the state.  An InvariantViolation certifies nothing; a walk that
+    ends ok adds its trail of keys to `seen`, emptied first if it would pass
+    MAX_CERTIFIED, unless the trail alone is longer than that.
+    """
+    trail = []
+    try:
+        for key, _ in walk:
+            if key in seen:
+                break
+            trail.append(key)
+    except InvariantViolation as exc:
+        return "violation", str(exc)
+    if len(trail) <= MAX_CERTIFIED:
+        if len(seen) + len(trail) > MAX_CERTIFIED:
+            seen.clear()
+        seen.update(trail)
     return "ok", None
 
 
@@ -264,33 +292,14 @@ def _prep_shifted_correlation(space, params):
     spaces=("all-families", "random-sample", "constructions-grid"),
 )
 def _prep_compression_monotone(space, params):
-    """Each family's colex walk, stopped at a certified state.
-
-    The walk is `shifting._colex_walk`, the step generator that
-    `compress_to_colex` drains, with every certificate of each step it
-    takes.  A state, keyed by its level-index mask within its (n, k)
-    level, is certified once a walk through it reached the colex segment
-    without InvariantViolation.  The walk from a state depends only on its
-    member set, so a later walk stops there before it builds any shadow
-    counts: the rest is the tail already certified.  A walk that raises
-    certifies nothing.  The set lives as long as the prepared check, one
-    `verify` call in each worker.
-    """
+    """Each family's colex walk (`shifting._colex_walk`, which
+    `compress_to_colex` drains) through `_walk_certified`, with one
+    certified set per (n, k) level for one `verify` call in each worker."""
     certified: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
 
     @_uniform
     def check(fam):
-        seen = certified[fam.n, fam.k]
-        trail = []
-        try:
-            for mask, _ in _colex_walk(fam):
-                if mask in seen:
-                    break
-                trail.append(mask)
-        except InvariantViolation as exc:
-            return "violation", str(exc)
-        seen.update(trail)
-        return "ok", None
+        return _walk_certified(_colex_walk(fam), certified[fam.n, fam.k])
 
     return check
 
@@ -302,43 +311,12 @@ def _prep_compression_monotone(space, params):
     spaces=("all-cross-pairs",),
 )
 def _prep_cross_shift(space, params):
-    """The paired-shift walk of each pair, stopped at a certified state.
-
-    A pair state is certified once a walk through it ended "ok" at lex
-    segments; the walk from a state is the same whichever pair reached it,
-    so a later walk stops there, and only its size check remains.  A state
-    is keyed by one int: the word bitmasks of A and of B side by side.  The
-    set lives as long as the prepared check, one `verify` call.
-    """
-    n, a, b = space.get("n"), space.get("a"), space.get("b")
-    segment = functools.cache(lex_segment)
-    shift_b = 1 << n
+    """Each pair's paired lex walk (`shifting._cross_lex_walk`) through
+    `_walk_certified`, with one certified set for one `verify` call."""
     certified: set[int] = set()
 
-    def bits(fam: Family) -> int:
-        return functools.reduce(operator.or_, map((1).__lshift__, fam.members), 0)
-
     def check(pair):
-        fam_a, fam_b = pair
-        size_a, size_b = len(fam_a), len(fam_b)
-        trail = []
-        try:
-            while (key := bits(fam_a) | bits(fam_b) << shift_b) not in certified:
-                trail.append(key)
-                step = cross_lex_shift_step(fam_a, fam_b)
-                if step is None:
-                    break
-                fam_a, fam_b = step[0], step[1]
-        except InvariantViolation as exc:
-            return "violation", str(exc)
-        if len(fam_a) != size_a or len(fam_b) != size_b:
-            return "violation", "sizes changed along the shift"
-        if key not in certified and (
-            fam_a != segment(n, size_a, a) or fam_b != segment(n, size_b, b)
-        ):
-            return "violation", "fixed point is not a pair of lex segments"
-        certified.update(trail)
-        return "ok", None
+        return _walk_certified(_cross_lex_walk(*pair), certified)
 
     return check
 
@@ -365,6 +343,11 @@ def _stability_thresholds(space: InstanceSpace, params: dict):
     thr_a = gbinom(n - 1, a - 1) - gbinom(n - v - 1, a - 1) + cap_a
     thr_b = gbinom(n - 1, b - 1) - gbinom(n - u - 1, b - 1) + cap_b
     return thr_a, thr_b, cap_a, cap_b
+
+
+def _stability_hypothesis(size_a: int, size_b: int, thr_a: int, thr_b: int) -> bool:
+    """The stability claim's hypothesis: both sizes at or above, not both at, the thresholds."""
+    return size_a >= thr_a and size_b >= thr_b and (size_a, size_b) != (thr_a, thr_b)
 
 
 def _stability_finalize(report, space, params) -> None:
@@ -411,7 +394,7 @@ def _prep_cross_stability(space, params):
     def check(pair):
         fam_a, fam_b = pair
         size_a, size_b = len(fam_a), len(fam_b)
-        if size_a < thr_a or size_b < thr_b or (size_a == thr_a and size_b == thr_b):
+        if not _stability_hypothesis(size_a, size_b, thr_a, thr_b):
             return "skip", None
         da = diversity(fam_a).value
         db = diversity(fam_b).value

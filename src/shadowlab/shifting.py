@@ -1,16 +1,17 @@
 """Shifting and compression operators on families.
 
 Covers the single-pair i<-j shift, the set-pair (Daykin) U<-V shift, the
-fixed-point iteration to a shifted family, colex compression with its
-shadow-monotonicity certificate, and the paired lex shift used for
-cross-intersecting families.  Every compression produces a replayable
-trace.
+fixed-point iteration to a shifted family, colex compression and the
+paired lex shift of cross-intersecting pairs, each with its certificates.
+Every compression produces a replayable trace.
 
 One step rule serves every shift: `_daykin_pairs` returns the (old, new)
 word pairs a U<-V shift moves.  The Family-level shifts build their result
 from those pairs, and the step certificates read them: the element sum of
 `shift_to_shifted`, and the colex-rank sum and immediate-shadow counts that
-the colex walk `_colex_walk` carries between steps instead of a Family.
+the colex walk `_colex_walk` carries between steps instead of a Family.  It
+and the paired lex walk `_cross_lex_walk` are step generators that key each
+state by an int and raise InvariantViolation where a certificate fails.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .families import (
     set_repr,
     word_of,
 )
-from .orders import level, level_words
+from .orders import level, level_words, lex_segment
 
 
 class ShiftStep(NamedTuple):
@@ -300,9 +301,7 @@ def _colex_walk(fam: Family):
         raise ValueError("colex compression needs a uniform family")
     table = level(fam.n, fam.k)
     index, shadows = table.index, table.shadows
-    mask = 0
-    for w in fam.members:
-        mask |= 1 << index[w]
+    mask = sum(1 << index[w] for w in fam.members)
     yield mask, None
     state = _Carried(fam)
     members, present = state.members, state.present
@@ -345,6 +344,29 @@ def _colex_walk(fam: Family):
         yield mask, ShiftStep("daykin", u=u, v=v, moved=len(pairs))
     if mask != (1 << size) - 1:
         raise InvariantViolation("compression fixed point is not the colex segment")
+
+
+def _cross_lex_walk(a: Family, b: Family):
+    """Paired lex shifting of a cross-intersecting pair, one state at a time.
+
+    It yields (key, None) for the input, then (key, step) after each
+    `cross_lex_shift_step`, looked up as this module's global when it runs;
+    a key is the level-index masks of A and B side by side.  A step that
+    changes a size, or a fixed point that is not the pair of lex segments
+    of the two sizes, raises InvariantViolation.
+    """
+    index_a, index_b = level(a.n, a.k).index, level(b.n, b.k).index
+    sizes, width, step = (len(a), len(b)), len(index_a), None
+    while True:
+        yield (sum(1 << index_a[w] for w in a.members)
+               | sum(1 << index_b[w] for w in b.members) << width), step
+        if (step := cross_lex_shift_step(a, b)) is None:
+            break
+        a, b = step[0], step[1]
+        if (len(a), len(b)) != sizes:
+            raise InvariantViolation("sizes changed along the shift")
+    if a != lex_segment(a.n, len(a), a.k) or b != lex_segment(b.n, len(b), b.k):
+        raise InvariantViolation("fixed point is not a pair of lex segments")
 
 
 def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:

@@ -296,13 +296,13 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
 
     Enumerates A-sides size by size from their size threshold up, computes
     the unique maximal compatible B-side, and descends into B-subsets only
-    when the B threshold is reachable.  Pairs sitting exactly at both
-    thresholds are counted as skipped without building them; every other
-    pair goes to the claim's check.  Pruned pairs are not counted.  The room
-    an A-side leaves for B only shrinks as A grows, so the scan stops after
-    the first size at which no A-side has room for the B threshold.  The
-    budget counts the A-sides of the sizes enumerated, each size's before
-    it starts.
+    when the B threshold is reachable.  The pairs of a B size that fails
+    the check's own `_stability_hypothesis` are counted as skipped without
+    building them; every other pair goes to the check.  Pruned pairs are
+    not counted.  The room an A-side leaves for B only shrinks as A grows,
+    so the scan stops after the first size at which no A-side has room for
+    the B threshold.  The budget counts the A-sides of the sizes
+    enumerated, each size's before it starts.
     """
     thr_a, thr_b, _, _ = claims._stability_thresholds(space, params)
     n, a, b = space.get("n"), space.get("a"), space.get("b")
@@ -313,10 +313,17 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
     notes["threshold_a"] = thr_a
     notes["threshold_b"] = thr_b
     eff = _effective_budget(budget)
-    at_thresholds = 0
+    skipped = 0
+
+    @functools.cache
+    def by_room(size_a: int, room: int) -> tuple[list[int], int]:
+        """The B sizes up to the room where the hypothesis holds, and the pairs it skips."""
+        held = [s for s in range(thr_b, room + 1)
+                if claims._stability_hypothesis(size_a, s, thr_a, thr_b)]
+        return held, sum(comb(room, s) for s in range(thr_b, room + 1) if s not in held)
 
     def pairs():
-        nonlocal at_thresholds
+        nonlocal skipped
         meet = _cross_meets(n, a, b).__getitem__
         full_b = (1 << lb) - 1
         enumerated = 0
@@ -331,22 +338,20 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
                 if room < thr_b:
                     continue
                 alive = True
-                least_b = thr_b
-                if size_a == thr_a:
-                    at_thresholds += comb(room, thr_b)
-                    least_b += 1
-                if least_b > room:
+                held, skips = by_room(size_a, room)
+                skipped += skips
+                if not held:
                     continue
                 bbits = [jdx for jdx in range(lb) if bmax >> jdx & 1]
                 fam_a = Family(n, (words_a[i] for i in combo), k=a)
-                for size_b in range(least_b, room + 1):
+                for size_b in held:
                     for bcombo in itertools.combinations(bbits, size_b):
                         yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
             if not alive:
                 break
 
     tallies = _check_stream(check, pairs())
-    tallies["skipped"] += at_thresholds
+    tallies["skipped"] += skipped
     return tallies
 
 

@@ -42,6 +42,9 @@ DIGESTS = [
      "a8e42aed917598453cc5e6189ff4b4ccb32523056fa0c35da7c5bc37ae6fe8d0"),
     ("cross-diversity-stability", "all-cross-pairs:a=2,b=2,n=5", {"u": 3, "v": 3}, 1,
      "6392e2f43b4170fcf571e7269df448207891635bf383085a7ee552cb3339d4d7"),
+    # every pair sits at both size thresholds: 0 checked, 184,756 skipped
+    ("cross-diversity-stability", "all-cross-pairs:a=3,b=3,n=6", {"u": 3, "v": 3}, 1,
+     "7e55c02cd87ef40ecb7fb2161a940bd7c2912faf1753ed99ac228d0c0bbd31d1"),
     ("restriction-boost", "all-shifted-families:n=6,k=3", {"r": 2, "t": 1}, 1,
      "5c03195de77f2611aa93cecc07cf1914e40931cb543daee6922af4c6ce6aa98e"),
     ("restriction-boost", "all-families:n=4,k=2", {"r": 2, "t": 1}, 1,

@@ -627,3 +627,39 @@ def test_cross_shift_preserves_intersection_along_runs():
                 break
             x, y = step[0], step[1]
         assert is_cross_t_intersecting([x, y], 1)
+
+
+def _level_key(x, y):
+    """The pair's level-index masks side by side, from the level word lists."""
+    words_a, words_b = level_words(x.n, x.k), level_words(y.n, y.k)
+    mask_a = sum(1 << words_a.index(w) for w in x.members)
+    mask_b = sum(1 << words_b.index(w) for w in y.members)
+    return mask_a | mask_b << len(words_a)
+
+
+def test_cross_lex_walk_yields_each_state_of_the_shift():
+    words = level_words(5, 2)
+    rng = random.Random(23)
+    for _ in range(40):
+        a_words = rng.sample(words, rng.randint(1, 5))
+        compatible = [x for x in words if all(x & y for y in a_words)]
+        b_words = rng.sample(compatible, rng.randint(0, len(compatible)))
+        x, y = Family(5, a_words, k=2), Family(5, b_words, k=2)
+        expected = [(_level_key(x, y), None)]
+        while (step := cross_lex_shift_step(x, y)) is not None:
+            x, y = step[0], step[1]
+            expected.append((_level_key(x, y), step))
+        assert list(shifting._cross_lex_walk(Family(5, a_words, k=2), Family(5, b_words, k=2))) \
+            == expected
+
+
+def test_cross_lex_walk_certifies_sizes_and_fixed_point(monkeypatch):
+    a, b = fam(5, [1, 3], [2, 3]), fam(5, [1, 2], [3, 4])
+    monkeypatch.setattr(shifting, "cross_lex_shift_step", lambda x, y: None)
+    with pytest.raises(InvariantViolation, match="^fixed point is not a pair of lex segments$"):
+        list(shifting._cross_lex_walk(a, b))
+    # one step that drops a member of A, then a fixed point
+    monkeypatch.setattr(shifting, "cross_lex_shift_step",
+                        lambda x, y: (Family(5, x.members[1:], k=2), y, 0, 0) if x == a else None)
+    with pytest.raises(InvariantViolation, match="^sizes changed along the shift$"):
+        list(shifting._cross_lex_walk(a, b))

@@ -302,7 +302,7 @@ def _prep_cross_shift_uncertified(space, params):
         fam_a, fam_b = pair
         size_a, size_b = len(fam_a), len(fam_b)
         try:
-            while (step := claims.cross_lex_shift_step(fam_a, fam_b)) is not None:
+            while (step := shifting.cross_lex_shift_step(fam_a, fam_b)) is not None:
                 fam_a, fam_b = step[0], step[1]
         except InvariantViolation as exc:
             return "violation", str(exc)
@@ -315,8 +315,11 @@ def _prep_cross_shift_uncertified(space, params):
     return check
 
 
-def _cross_shift_reports(monkeypatch, space):
-    """cross-shift-preserves on `space`, with and without certified states."""
+def _cross_shift_reports(monkeypatch, space, cap=None):
+    """cross-shift-preserves on `space`, with certified states (at most
+    `cap` of them when given) and without."""
+    if cap is not None:
+        monkeypatch.setattr(claims, "MAX_CERTIFIED", cap)
     certified = verify("cross-shift-preserves", space)
     monkeypatch.setitem(claims._PREPARE, "cross-shift-preserves", _prep_cross_shift_uncertified)
     uncertified = verify("cross-shift-preserves", space)
@@ -342,7 +345,7 @@ def test_failed_walk_certifies_no_state(monkeypatch):
             raise InvariantViolation("planted")
         return step
 
-    monkeypatch.setattr(claims, "cross_lex_shift_step", failing)
+    monkeypatch.setattr(shifting, "cross_lex_shift_step", failing)
     certified, uncertified = _cross_shift_reports(monkeypatch, "all-cross-pairs:n=4,a=2,b=2")
     assert certified.violations > 1
     assert certified.canonical_json() == uncertified.canonical_json()
@@ -356,11 +359,57 @@ def test_certified_states_live_for_one_verify(monkeypatch):
         calls.append(1)
         return real(fam_a, fam_b)
 
-    monkeypatch.setattr(claims, "cross_lex_shift_step", counting)
+    monkeypatch.setattr(shifting, "cross_lex_shift_step", counting)
     for _ in range(2):
         calls.clear()
         verify("cross-shift-preserves", "all-cross-pairs:n=5,a=2,b=2")
         assert len(calls) == 6212
+
+
+def test_walks_at_cap_0_match_full_walks(monkeypatch):
+    # at cap 0 the certified set certifies nothing, so every walk runs to
+    # its end, and the reports are those of the full walks
+    for certified, uncertified in (
+        _cross_shift_reports(monkeypatch, "all-cross-pairs:n=4,a=2,b=2", cap=0),
+        _compression_reports("all-families:n=5,k=2", cap=0),
+    ):
+        assert certified.checked == uncertified.checked > 0
+        assert certified.canonical_json() == uncertified.canonical_json()
+
+
+def _walk(keys, fail=False):
+    """A fake step generator over `keys`, raising at its end when `fail`."""
+    for key in keys:
+        yield key, None
+    if fail:
+        raise InvariantViolation("planted")
+
+
+def test_walk_certified_stops_at_a_seen_key():
+    seen = {3}
+    walk = _walk([1, 2, 3, 4, 5], fail=True)
+    assert claims._walk_certified(walk, seen) == ("ok", None)
+    assert next(walk) == (4, None)  # never reached, nor the planted failure
+    assert seen == {1, 2, 3}
+
+
+def test_walk_certified_adds_nothing_for_a_raising_walk():
+    seen = {9}
+    assert claims._walk_certified(_walk([1, 2], fail=True), seen) == ("violation", "planted")
+    assert seen == {9}
+
+
+def test_walk_certified_keeps_the_set_within_the_cap(monkeypatch):
+    cap = 5
+    monkeypatch.setattr(claims, "MAX_CERTIFIED", cap)
+    rng = random.Random(7)
+    seen = set()
+    for start in range(0, 1000, 10):
+        trail = list(range(start, start + rng.randint(1, 7)))
+        assert claims._walk_certified(_walk(trail), seen) == ("ok", None)
+        assert len(seen) <= cap
+        # a trail within the cap is certified in full, a longer one not at all
+        assert set(trail) <= seen if len(trail) <= cap else not seen & set(trail)
 
 
 def _prep_compression_uncertified(space, params):
@@ -377,11 +426,14 @@ def _prep_compression_uncertified(space, params):
     return check
 
 
-def _compression_reports(space, jobs=1):
-    """compression-shadow-monotone on `space`, with and without certified states."""
+def _compression_reports(space, jobs=1, cap=None):
+    """compression-shadow-monotone on `space`, with certified states (at
+    most `cap` of them when given) and without."""
     claim = "compression-shadow-monotone"
-    certified = verify(claim, space, jobs=jobs)
     with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(claims, "MAX_CERTIFIED", cap)
+        certified = verify(claim, space, jobs=jobs)
         mp.setitem(claims._PREPARE, claim, _prep_compression_uncertified)
         uncertified = verify(claim, space, jobs=jobs)
     return certified, uncertified
