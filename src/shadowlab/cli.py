@@ -16,9 +16,8 @@ import sys
 from .binomials import BOUND_NAMES, bound_value
 from .constructions import CONSTRUCTIONS, build
 from .diversity import colex_diversity, diversity, influence, kk_diversity, s_diversity
-from .families import Family, InvariantViolation, word_of
+from .families import Family, InvariantViolation, word_of, shadow as family_shadow
 from .shifting import compress_to_colex, daykin_shift, shift_ij, shift_to_shifted
-from .families import shadow as family_shadow
 from .spaces import _parse_params
 from .verifier import BudgetExceeded, InstanceSpace, verify
 
@@ -49,9 +48,14 @@ def _read_family(path: str | None) -> Family:
         raise SystemExit(EX_IOERR)
 
 
-# Each diversity metric's function and the one flag it needs, if any.
-METRICS = {"gamma": (diversity, None), "s": (s_diversity, "s"),
-           "kk": (kk_diversity, "n"), "colex": (colex_diversity, "t")}
+# Each diversity metric's and shift operator's function and the flags it
+# takes; an operator takes them in this order, after the family.  to-colex
+# looks compress_to_colex up when it runs, not at import.
+METRICS = {"gamma": (diversity, ()), "s": (s_diversity, ("s",)),
+           "kk": (kk_diversity, ("n",)), "colex": (colex_diversity, ("t",))}
+SHIFT_OPS = {"ij": (shift_ij, ("i", "j")), "daykin": (daykin_shift, ("U", "V")),
+             "to-shifted": (shift_to_shifted, ()),
+             "to-colex": (lambda fam: compress_to_colex(fam), ())}
 
 
 def _flags(registry) -> tuple:
@@ -59,14 +63,23 @@ def _flags(registry) -> tuple:
     return tuple(dict.fromkeys(p for _, wanted in registry.values() for p in wanted))
 
 
-def _given(parser, args, registry) -> dict:
-    """Every flag of the registry that was given.  A flag `args.name` needs
-    and was not given is a usage error; `args.name` refuses one it does not take."""
-    given = {flag: getattr(args, flag) for flag in _flags(registry)}
-    for flag in registry[args.name][1]:
-        if given[flag] is None:
-            parser.error(f"{args.command} {args.name} needs --{flag}")
-    return {flag: val for flag, val in given.items() if val is not None}
+def _given(parser, args, registry, key) -> dict:
+    """The keyword arguments of the registry entry that `key` (an option, or
+    a positional argument's name) selects.  A flag the entry needs and was
+    not given, or a flag of the registry it does not take, is a usage error."""
+    name = getattr(args, key.lstrip("-"))
+    target = f"{args.command} {key} {name}" if key.startswith("-") else f"{args.command} {name}"
+    wanted = registry[name][1]
+    for flag in _flags(registry):
+        given = getattr(args, flag, None) is not None
+        if given != (flag in wanted):
+            parser.error(f"{target} {'takes no' if given else 'needs'} --{flag}")
+    return {flag: getattr(args, flag) for flag in wanted}
+
+
+def elements(text: str) -> int:
+    """A set given as comma-separated elements, as a word."""
+    return word_of(int(tok) for tok in text.split(","))
 
 
 def _num(text: str):
@@ -97,17 +110,18 @@ def main(argv: list[str] | None = None) -> int:
     p_div.add_argument("file", nargs="?")
 
     p_shift = sub.add_parser("shift", help="apply a shift operator; trace on stderr")
-    p_shift.add_argument("--op", choices=("ij", "daykin", "to-shifted", "to-colex"), required=True)
+    p_shift.add_argument("--op", choices=tuple(SHIFT_OPS), required=True)
     p_shift.add_argument("--i", type=int)
     p_shift.add_argument("--j", type=int)
-    p_shift.add_argument("--U", help="comma-separated elements")
-    p_shift.add_argument("--V", help="comma-separated elements")
+    p_shift.add_argument("--U", type=elements, help="comma-separated elements")
+    p_shift.add_argument("--V", type=elements, help="comma-separated elements")
     p_shift.add_argument("--trace-file", help="write the trace here instead of stderr")
     p_shift.add_argument("file", nargs="?")
 
     p_comp = sub.add_parser("compress", help="alias of shift --op to-colex")
     p_comp.add_argument("--trace-file")
     p_comp.add_argument("file", nargs="?")
+    p_comp.set_defaults(op="to-colex")
 
     p_bound = sub.add_parser("bound", help="evaluate a named closed-form bound")
     p_bound.add_argument("--name", choices=sorted(BOUND_NAMES), required=True)
@@ -131,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "construct":
-            sys.stdout.write(build(args.name, **_given(parser, args, CONSTRUCTIONS)).to_text())
+            sys.stdout.write(build(args.name, **_given(parser, args, CONSTRUCTIONS, "name")).to_text())
             return 0
 
         if args.command == "shadow":
@@ -141,48 +155,25 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "diversity":
             fam = _read_family(args.file)
-            metric, wanted = METRICS[args.metric]
-            for _, flag in METRICS.values():
-                if flag not in (None, wanted) and getattr(args, flag) is not None:
-                    parser.error(f"--metric {args.metric} takes no --{flag}")
-            if wanted and getattr(args, wanted) is None:
-                parser.error(f"--metric {args.metric} needs --{wanted}")
-            res = metric(fam) if wanted is None else metric(fam, getattr(args, wanted))
+            res = METRICS[args.metric][0](fam, **_given(parser, args, METRICS, "--metric"))
             witness = res.witness if not isinstance(res.witness, tuple) else list(res.witness)
             print(json.dumps({"metric": args.metric, "value": res.value, "witness": witness}))
             return 0
 
         if args.command in ("shift", "compress"):
-            op = "to-colex" if args.command == "compress" else args.op
             fam = _read_family(args.file)
-            trace_text = ""
-            if op == "ij":
-                if args.i is None or args.j is None:
-                    parser.error("shift --op ij needs --i and --j")
-                out = shift_ij(fam, args.i, args.j)
-            elif op == "daykin":
-                if not args.U or not args.V:
-                    parser.error("shift --op daykin needs --U and --V")
-                u = word_of(int(tok) for tok in args.U.split(","))
-                v = word_of(int(tok) for tok in args.V.split(","))
-                out = daykin_shift(fam, u, v)
-            elif op == "to-shifted":
-                out, trace_obj = shift_to_shifted(fam)
-                trace_text = trace_obj.to_text()
-            else:
-                out, trace_obj = compress_to_colex(fam)
-                trace_text = trace_obj.to_text()
+            out = SHIFT_OPS[args.op][0](fam, *_given(parser, args, SHIFT_OPS, "--op").values())
+            out, trace_text = (out[0], out[1].to_text()) if isinstance(out, tuple) else (out, "")
             sys.stdout.write(out.to_text())
-            if trace_text:
-                if getattr(args, "trace_file", None):
-                    with open(args.trace_file, "w", encoding="utf-8") as handle:
-                        handle.write(trace_text)
-                else:
-                    sys.stderr.write(trace_text)
+            if trace_text and args.trace_file:
+                with open(args.trace_file, "w", encoding="utf-8") as handle:
+                    handle.write(trace_text)
+            else:
+                sys.stderr.write(trace_text)
             return 0
 
         if args.command == "bound":
-            print(bound_value(args.name, **_given(parser, args, BOUND_NAMES)))
+            print(bound_value(args.name, **_given(parser, args, BOUND_NAMES, "name")))
             return 0
 
         if args.command == "influence":
@@ -232,7 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         return EX_SOFTWARE
 
     parser.error("no command")
-    return EX_USAGE
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ Boolean-function influences over the uniform measure on 2^[n].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 

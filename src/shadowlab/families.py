@@ -107,10 +107,6 @@ class Family:
     def member_set(self) -> frozenset[int]:
         return self._set
 
-    def with_members(self, members: Iterable[int], k: int | None = None) -> "Family":
-        """Same ground set, different members."""
-        return Family(self.n, members, k)
-
     # -- text format -------------------------------------------------------
     #
     # header ``n=<N> k=<K|->`` then one member per line as comma-separated

@@ -36,7 +36,7 @@ class BudgetExceeded(RuntimeError):
 # Each kind's required parameters, then the optional ones checked when
 # present; no others are accepted, except the grid's axes, each an integer
 # or an integer range lo..hi.  All are integers except the grid's name, which
-# is "params" or a key of CONSTRUCTIONS, and a sample's count may not be
+# is "params" or a key of CONSTRUCTIONS, and none but a sample's seed may be
 # negative.
 SPACE_KINDS = {
     "all-families": (("n", "k"), ()),
@@ -74,8 +74,8 @@ class InstanceSpace:
                     )
             elif not isinstance(val, int):
                 raise ValueError(f"{kind} needs an integer {key}=...")
-            elif key == "count" and val < 0:
-                raise ValueError(f"{kind} needs count >= 0, not {val}")
+            elif key != "seed" and val < 0:
+                raise ValueError(f"{kind} needs {key} >= 0, not {val}")
         return cls(kind, tuple(sorted(params.items())))
 
     def get(self, name: str, default=None):
@@ -199,12 +199,18 @@ def _effective_budget(budget: int | None) -> int:
 
 
 def _refuse_over_budget(space: InstanceSpace, budget: int | None) -> None:
-    """Refuse a space of known size over the budget.  All-families' size,
-    2^C(n,k), is compared and stated by its exponent, never written out.  So
-    is all-graphs' from n = 4 on, by the lower bound 2^(C(n,2)-1): at most
-    n * 2^C(n-1,2) of the 2^C(n,2) graphs have an isolated vertex, and
-    n / 2^(n-1) <= 1/2.  The exact count is summed only when that bound does
-    not already exceed the budget."""
+    """Refuse a space of known size, or of a proven lower bound, over the
+    budget.  All-families' size, 2^C(n,k), is compared and stated by its
+    exponent, never written out.  So is all-graphs' from n = 4 on, by the
+    lower bound 2^(C(n,2)-1): at most n * 2^C(n-1,2) of the 2^C(n,2) graphs
+    have an isolated vertex, and n / 2^(n-1) <= 1/2.  The exact count is
+    summed only when that bound does not already exceed the budget.
+
+    The down-set spaces are refused by a floor, before their tables are
+    built: each subfamily of the middle layer generates its own up-set, so
+    there are at least 2^C(n,n//2) up-sets, and the empty family and each
+    k-set's principal down-set are C(n,k)+1 shifted families.  Under its
+    floor such a space streams, and the budget stops it as it does."""
     eff = _effective_budget(budget)
     bits = max(eff, 0).bit_length()
     n = space.get("n")
@@ -213,6 +219,11 @@ def _refuse_over_budget(space: InstanceSpace, budget: int | None) -> None:
         over, size = exponent >= bits, f"2^{exponent}"
     elif space.kind == "all-graphs" and n >= 4 and comb(n, 2) - 1 >= bits:
         over, size = True, f"at least 2^{comb(n, 2) - 1}"
+    elif space.kind == "all-up-sets":
+        over, size = comb(n, n // 2) >= bits, f"at least 2^{comb(n, n // 2)}"
+    elif space.kind == "all-shifted-families":
+        floor = comb(n, space.get("k")) + 1
+        over, size = floor > eff, f"at least {floor}"
     else:
         size = space_size(space)
         over = size is not None and size > eff

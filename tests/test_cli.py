@@ -163,6 +163,22 @@ def test_huge_all_graphs_refused_quickly():
         assert f"holds at least 2^{comb(n, 2) - 1} instances" in out.stderr
 
 
+def test_huge_down_set_spaces_refused_quickly():
+    # every subfamily of the middle layer generates its own up-set, and the
+    # empty family and each word's principal down-set are shifted families
+    for claim, space, bound in (
+        ("t-intersecting-max", "all-up-sets:n=22", f"at least 2^{comb(22, 11)}"),
+        ("t-intersecting-max", "all-up-sets:n=30", f"at least 2^{comb(30, 15)}"),
+        ("shifted-structure", "all-shifted-families:n=30,k=15", f"at least {comb(30, 15) + 1}"),
+    ):
+        start = time.perf_counter()
+        out = run_cli(["verify", "--claim", claim, "--space", space])
+        assert time.perf_counter() - start < 2
+        assert out.returncode == 3, (space, out.stderr)
+        assert f"holds {bound} instances" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_wide_grid_axis_refused_without_building_it():
     # the child reports its own exit code and peak RSS (KB on Linux)
     probe = ("import resource, subprocess, sys; "
@@ -300,9 +316,15 @@ def test_flags_a_target_does_not_take_exit_64(capsys):
         ["bound", "--name", "kk", "--m", "4", "--k", "2", "--n", "7"],
         ["diversity", "--metric", "gamma", "--s", "2"],
         ["diversity", "--metric", "kk", "--n", "4", "--t", "2"],
+        ["shift", "--op", "ij", "--i", "1", "--j", "2", "--U", "3"],
+        ["shift", "--op", "to-colex", "--i", "1"],
+        ["shift", "--op", "to-shifted", "--j", "9"],
+        ["shift", "--op", "daykin", "--U", "1", "--V", "2", "--i", "5"],
     ):
         assert _exit_code(argv, stdin=star) == 64, argv
         assert "Traceback" not in capsys.readouterr().err
+    assert _exit_code(["shift", "--op", "daykin", "--U", "1"], stdin=star) == 64
+    assert "needs --V" in capsys.readouterr().err
     # the flags each target takes still work, and a missing one is named
     assert _exit_code(["construct", "star", "--n", "4", "--k", "2"]) == 0
     assert capsys.readouterr().out == star

@@ -52,9 +52,27 @@ def test_space_rejects_unknown_kind():
         "all-families:n=4,k=2,bogus=7",
         "all-graphs:n=4,seed=5",
         "random-sample:n=6,count=-1,k=3",
+        # negative sizes are refused where the space is parsed
+        "all-graphs:n=-2",
+        "all-up-sets:n=-1",
+        "all-families:n=4,k=-1",
+        "all-shifted-families:n=-3,k=2",
+        "all-cross-pairs:n=5,a=-1,b=2",
+        "all-cross-pairs:n=5,a=2,b=-2",
+        "random-sample:n=-6,count=3",
     ):
         with pytest.raises(ValueError):
             InstanceSpace.parse(text)
+    # a sample's seed is the one parameter that may be negative
+    assert InstanceSpace.parse("random-sample:n=6,count=3,seed=-5").get("seed") == -5
+
+
+def test_readme_names_every_claim_and_space():
+    # tests/ sits next to README.md at the root of the repository
+    with open(__file__.rsplit("tests", 1)[0] + "README.md", encoding="utf-8") as handle:
+        readme = handle.read()
+    for name in (*CLAIMS, *spaces.SPACE_KINDS):
+        assert f"`{name}`" in readme or f"`{name}:" in readme, name
 
 
 def test_all_families_counts():
