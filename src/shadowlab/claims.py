@@ -16,8 +16,8 @@ A prepared check may carry a ``mask_filter``: a predicate on the level
 masks of all-families and of a uniform random-sample that rejects only
 instances the check itself would skip (not shifted, or not pairwise
 intersecting).  The verifier's kernels read the checks' own verdicts
-(``_shadow_verdict``, ``_graph_verdict``) and hypothesis
-(``_stability_hypothesis``).  Both walking claims go through ``_walk_certified``.
+(``_shadow_verdict``, ``_graph_verdict``, ``_correlation_verdict``) and
+hypothesis (``_stability_hypothesis``).  Both walking claims go through ``_walk_certified``.
 """
 
 from __future__ import annotations
@@ -273,17 +273,20 @@ def _prep_cross_lex_segments(space, params):
     spaces=("all-shifted-families",),
 )
 def _prep_shifted_correlation(space, params):
-    n, k = space.get("n"), space.get("k")
-    total = comb(n, k)
+    total = comb(space.get("n"), space.get("k"))
 
     def check(pair):
         f1, f2 = pair
         inter = len(f1.member_set() & f2.member_set())
-        return _against(
-            inter * total, len(f1) * len(f2), "<", "{}*{} < {}*{}", inter, total, len(f1), len(f2)
-        )
+        return _correlation_verdict(inter, len(f1), len(f2), total)
 
     return check
+
+
+def _correlation_verdict(inter: int, s1: int, s2: int, total: int) -> tuple[str, str | None]:
+    """The correlation bound on two families of s1 and s2 members of a level
+    of `total` sets that share `inter` members: inter * total >= s1 * s2."""
+    return _against(inter * total, s1 * s2, "<", "{}*{} < {}*{}", inter, total, s1, s2)
 
 
 @_claim(

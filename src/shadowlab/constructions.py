@@ -187,6 +187,8 @@ def kalai_circle(n: int) -> Family:
 
 
 def _ground(n: int, k: int) -> None:
+    if n < 0:
+        raise ValueError(f"need n >= 0, not {n}")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside 0..{n}")
     if n > 64:

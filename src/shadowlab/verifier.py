@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -291,18 +290,44 @@ def _graph_keys(n: int, edges):
     return graphs, key
 
 
-def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict:
-    """Pruned scan of the cross-pair stability claim.
+def _max_room(meets: list[int], lb: int) -> list[int]:
+    """The largest room an A-side of each size 0..la leaves for B, given the
+    mask `meets[i]` of the b-sets (lb of them) that the i-th a-set meets.
 
-    Enumerates A-sides size by size from their size threshold up, computes
-    the unique maximal compatible B-side, and descends into B-subsets only
-    when the B threshold is reachable.  The pairs of a B size that fails
-    the check's own `_stability_hypothesis` are counted as skipped without
-    building them; every other pair goes to the check.  Pruned pairs are
-    not counted.  The room an A-side leaves for B only shrinks as A grows,
-    so the scan stops after the first size at which no A-side has room for
-    the B threshold.  The budget counts the A-sides of the sizes
-    enumerated, each size's before it starts.
+    A b-set meets every member of A unless it lies in a member's
+    complement, so A's room is lb minus the b-shadow of its complements,
+    which are (n-a)-sets.  By Kruskal–Katona the first s colex (n-a)-sets
+    have the least b-shadow of any s of them, so the largest room at size s
+    is the room their complements leave.  Complementing reverses colex
+    order: those complements are the last s a-sets.
+    """
+    room = (1 << lb) - 1
+    best = [lb]
+    for meet in reversed(meets):
+        room &= meet
+        best.append(room.bit_count())
+    return best
+
+
+def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict:
+    """Room-pruned scan of the cross-pair stability claim.
+
+    An A-side's room is the mask of the b-sets meeting every member, and
+    its B-sides are the subsets of its room.  A-sides are walked size by
+    size from their size threshold up, each size by an include-first DFS
+    over the a-level's colex indices, which meets them in
+    itertools.combinations order.  The DFS carries the room down and drops
+    a prefix whose room is below the B threshold: room only shrinks as A
+    grows.  The walk stops before the first size whose Kruskal–Katona
+    largest room (`_max_room`) is below the B threshold; no A-side of that
+    size or a later one has room.
+
+    The pairs of a B size that fails the check's own `_stability_hypothesis`
+    are counted as skipped without building them.  An A-side whose room
+    holds no B size that passes it adds its skips from a per-size table and
+    yields nothing; every other pair goes to the check.  Pruned pairs are not
+    counted.  The budget counts the C(la, size) A-sides of each size walked,
+    before its walk starts; a size cut by the bound is not counted.
     """
     thr_a, thr_b, _, _ = claims._stability_thresholds(space, params)
     n, a, b = space.get("n"), space.get("a"), space.get("b")
@@ -313,42 +338,67 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
     notes["threshold_a"] = thr_a
     notes["threshold_b"] = thr_b
     eff = _effective_budget(budget)
+    meet = _cross_meets(n, a, b)
+    best = _max_room(meet, lb)
     skipped = 0
 
-    @functools.cache
     def by_room(size_a: int, room: int) -> tuple[list[int], int]:
         """The B sizes up to the room where the hypothesis holds, and the pairs it skips."""
         held = [s for s in range(thr_b, room + 1)
                 if claims._stability_hypothesis(size_a, s, thr_a, thr_b)]
         return held, sum(comb(room, s) for s in range(thr_b, room + 1) if s not in held)
 
+    def pairs_of(combo, room: int, held: list[int]):
+        bbits = [jdx for jdx in range(lb) if room >> jdx & 1]
+        fam_a = Family(n, (words_a[i] for i in combo), k=a)
+        for size_b in held:
+            for bcombo in itertools.combinations(bbits, size_b):
+                yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
+
     def pairs():
         nonlocal skipped
-        meet = _cross_meets(n, a, b).__getitem__
-        full_b = (1 << lb) - 1
         enumerated = 0
         for size_a in range(thr_a, la + 1):
+            if best[size_a] < thr_b:
+                break
             enumerated += comb(la, size_a)
             if enumerated > eff:
                 raise BudgetExceeded(f"cross-pair scan exceeded budget {eff}")
-            alive = False
-            for combo in itertools.combinations(range(la), size_a):
-                bmax = functools.reduce(operator.and_, map(meet, combo), full_b)
-                room = bmax.bit_count()
-                if room < thr_b:
-                    continue
-                alive = True
-                held, skips = by_room(size_a, room)
+            table = [by_room(size_a, room) if room >= thr_b else None
+                     for room in range(best[size_a] + 1)]
+            # combo[:depth] is the prefix, rooms[depth] its room, and nxt
+            # the next index tried at depth; an index taken at the last
+            # depth completes an A-side.
+            combo = [0] * size_a
+            rooms = [(1 << lb) - 1] * (size_a + 1)
+            slack, last = la - size_a, size_a - 1
+            depth = nxt = 0
+            if size_a == 0:
+                held, skips = table[lb]
                 skipped += skips
-                if not held:
+                if held:
+                    yield from pairs_of(combo, rooms[0], held)
+                continue
+            while True:
+                if nxt <= slack + depth:
+                    room = rooms[depth] & meet[nxt]
+                    count = room.bit_count()
+                    if count >= thr_b:
+                        combo[depth] = nxt
+                        if depth < last:
+                            depth += 1
+                            rooms[depth] = room
+                        else:
+                            held, skips = table[count]
+                            skipped += skips
+                            if held:
+                                yield from pairs_of(combo, room, held)
+                    nxt += 1
                     continue
-                bbits = [jdx for jdx in range(lb) if bmax >> jdx & 1]
-                fam_a = Family(n, (words_a[i] for i in combo), k=a)
-                for size_b in held:
-                    for bcombo in itertools.combinations(bbits, size_b):
-                        yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
-            if not alive:
-                break
+                if depth == 0:
+                    break
+                depth -= 1
+                nxt = combo[depth] + 1
 
     tallies = _check_stream(check, pairs())
     tallies["skipped"] += skipped
@@ -358,12 +408,48 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
 def _correlation_pairs_kernel(check, space: InstanceSpace, params, budget) -> dict:
     """The correlation claim over every ordered pair of the space's families.
 
-    The budget bounds the families and then the pairs."""
+    The budget bounds the families and then the pairs.  Each family is a
+    mask over its level's colex indices, so a pair's intersection size is
+    one AND and a popcount.  The verdict depends on that size and the two
+    family sizes alone, and comes from the check's own
+    `_correlation_verdict`, once per distinct triple.  Pairs are tallied in
+    itertools.product order, and each family's text is built once, when a
+    recorded pair first needs it.
+    """
     fams = list(iter_space(space, budget))
     eff = _effective_budget(budget)
     if len(fams) ** 2 > eff:
         raise BudgetExceeded(f"{len(fams)}^2 ordered pairs exceed the budget of {eff}")
-    return _check_stream(check, itertools.product(fams, fams))
+    n, k = space.get("n"), space.get("k")
+    index = level(n, k).index
+    total = comb(n, k)
+    sides = [(sum(1 << index[w] for w in fam), len(fam)) for fam in fams]
+    verdict = functools.cache(claims._correlation_verdict)
+    text = functools.cache(lambda i: fams[i].to_text())
+
+    violations = equalities = 0
+    counterexamples: list = []
+    witnesses: list = []
+    for i, (m1, s1) in enumerate(sides):
+        for j, (m2, s2) in enumerate(sides):
+            status, detail = verdict((m1 & m2).bit_count(), s1, s2, total)
+            if status == "ok":
+                continue
+            if status == "violation":
+                violations += 1
+                if len(counterexamples) < MAX_RECORDED:
+                    counterexamples.append(
+                        {"instance": {"A": text(i), "B": text(j)}, "detail": detail}
+                    )
+            else:
+                equalities += 1
+                if len(witnesses) < MAX_RECORDED:
+                    witnesses.append({"A": text(i), "B": text(j)})
+    return {
+        "checked": len(sides) ** 2, "skipped": 0,
+        "violations": violations, "equalities": equalities,
+        "counterexamples": counterexamples, "equality_witnesses": witnesses,
+    }
 
 
 # Each kernel is called as kernel(check, space, params, budget).  The shadow

@@ -334,6 +334,17 @@ def test_flags_a_target_does_not_take_exit_64(capsys):
     assert "--metric colex needs --t" in capsys.readouterr().err
 
 
+def test_negative_ground_set_names_n(capsys):
+    # a negative n is refused by its own name, not through the range of k
+    for argv in (
+        ["construct", "star", "--n", "-1", "--k", "2"],
+        ["construct", "full_level", "--n", "-3", "--k", "0"],
+    ):
+        assert _exit_code(argv) == 64, argv
+        err = capsys.readouterr().err
+        assert "n >= 0" in err and "outside" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("claim, space, budget", [
     # at the A threshold 10, the C(20,10) = 184,756 A-sides exceed the budget
     ("cross-diversity-stability", "all-cross-pairs:n=6,a=3,b=3", "100000"),

@@ -1,9 +1,13 @@
 """Instance spaces, the claim engine, reports and their replay guarantees."""
 
 import concurrent.futures
+import functools
 import itertools
 import json
+import operator
 import random
+import subprocess
+import sys
 from concurrent.futures import Future
 from math import comb
 
@@ -1073,7 +1077,7 @@ def _cross_stability_loop(check, space, params, budget):
     return tallies, roomy
 
 
-@pytest.mark.parametrize("nab", [(5, 2, 2), (6, 2, 2), (6, 2, 3), (6, 3, 3)])
+@pytest.mark.parametrize("nab", [(5, 2, 2), (6, 2, 2), (6, 2, 3), (6, 3, 3), (7, 2, 2)])
 def test_cross_stability_kernel_matches_full_loop(nab):
     space = InstanceSpace.make("all-cross-pairs", n=nab[0], a=nab[1], b=nab[2])
     spec = CLAIMS["cross-diversity-stability"]
@@ -1085,6 +1089,78 @@ def test_cross_stability_kernel_matches_full_loop(nab):
     sizes = sorted(roomy)
     dead = [size for size in sizes if not roomy[size]]
     assert all(not roomy[size] for size in sizes if dead and size > dead[0])
+
+
+@pytest.mark.parametrize(
+    "nab", [(5, 2, 2), (6, 2, 2), (6, 2, 3), (6, 3, 2), (6, 3, 3), (7, 2, 3), (7, 3, 2)]
+)
+def test_max_room_is_the_largest_room_of_each_size(nab):
+    # the Kruskal–Katona bound against every A-side of each size small enough to list
+    n, a, b = nab
+    meets = spaces._cross_meets(n, a, b)
+    la, lb = len(meets), comb(n, b)
+    best = verifier._max_room(meets, lb)
+    assert len(best) == la + 1
+    full = (1 << lb) - 1
+    for size in range(la + 1):
+        if comb(la, size) > 2 * 10**5:
+            continue
+        rooms = (
+            functools.reduce(operator.and_, combo, full).bit_count()
+            for combo in itertools.combinations(meets, size)
+        )
+        assert best[size] == max(rooms), (nab, size)
+
+
+def test_cross_stability_budget_counts_only_the_sizes_walked():
+    # at (6,3,3) the A size 10 has C(20,10) A-sides; size 11, where no
+    # A-side has room for the B threshold 10, is cut before it is counted
+    space = "all-cross-pairs:a=3,b=3,n=6"
+    rep = verify("cross-diversity-stability", space, budget=184_756)
+    assert (rep.checked, rep.skipped) == (0, 184_756)
+    with pytest.raises(BudgetExceeded):
+        verify("cross-diversity-stability", space, budget=184_755)
+
+
+def _correlation_cases():
+    for n, k in ((5, 2), (6, 2), (6, 3), (7, 3)):
+        space = InstanceSpace.make("all-shifted-families", n=n, k=k)
+        check = CLAIMS["shifted-correlation"].prepare(space, {"_notes": {}})
+        fams = list(iter_space(space))
+        yield space, check, verifier._check_stream(check, itertools.product(fams, fams))
+
+
+def test_correlation_kernel_matches_the_check_on_every_pair():
+    for space, check, expected in _correlation_cases():
+        assert verifier._correlation_pairs_kernel(check, space, {}, None) == expected
+    # (7,3) has more equalities than a report records
+    assert expected["equalities"] == 1404 > verifier.MAX_RECORDED
+
+
+def test_correlation_kernel_records_violations_as_the_check_does(monkeypatch):
+    # a stricter bound, read by the check and the kernel alike, makes violations
+    bound = claims._correlation_verdict
+    monkeypatch.setattr(
+        claims, "_correlation_verdict", lambda inter, s1, s2, total: bound(inter, s1 + 1, s2, total)
+    )
+    for space, check, expected in _correlation_cases():
+        assert expected["violations"] > 0
+        assert verifier._correlation_pairs_kernel(check, space, {}, None) == expected
+    assert expected["violations"] > verifier.MAX_RECORDED
+
+
+def test_pair_kernels_load_no_numpy():
+    # numpy would lift the search-spaces pass's peak RSS by about 10 MB
+    probe = (
+        "import sys\n"
+        "from shadowlab.verifier import verify\n"
+        "verify('shifted-correlation', 'all-shifted-families:n=6,k=3')\n"
+        "verify('cross-diversity-stability', 'all-cross-pairs:n=6,a=3,b=3')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_cross_stability_reverify():
