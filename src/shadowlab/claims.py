@@ -12,12 +12,14 @@ point and skips an instance without a uniform family; other family claims
 get each Family as streamed; grid-only claims the point (params, family);
 pair claims (A, B).  A value is held against its bound through ``_against``.
 
-A prepared check may carry a ``mask_filter``: a predicate on the level
-masks of all-families and of a uniform random-sample that rejects only
-instances the check itself would skip (not shifted, or not pairwise
-intersecting).  The verifier's kernels read the checks' own verdicts
-(``_shadow_verdict``, ``_graph_verdict``, ``_correlation_verdict``) and
-hypothesis (``_stability_hypothesis``).  Both walking claims go through ``_walk_certified``.
+A prepared check may carry a ``mask_filter`` on the level masks of
+all-families and of a uniform random-sample that rejects only instances
+the check itself would skip (not shifted, or not pairwise intersecting).
+A sample tries it on each mask as a predicate; all-families takes only the
+masks its ``masks(lo, hi)`` enumerates.  The verifier's kernels read the
+checks' own verdicts (``_shadow_verdict``, ``_graph_verdict``,
+``_correlation_verdict``) and hypothesis (``_stability_hypothesis``).  Both
+walking claims go through ``_walk_certified``.
 """
 
 from __future__ import annotations
@@ -392,6 +394,11 @@ def _stability_finalize(report, space, params) -> None:
     finalize=_stability_finalize,
 )
 def _prep_cross_stability(space, params):
+    # the boundary pair that finalize builds, l_family(n, a, 2, 2), needs
+    # both sides at 2 or more: refused here, before any scan
+    a, b = space.get("a"), space.get("b")
+    if a < 2 or b < 2:
+        raise ValueError(f"need a >= 2 and b >= 2, not a={a}, b={b}")
     thr_a, thr_b, cap_a, cap_b = _stability_thresholds(space, params)
 
     def check(pair):

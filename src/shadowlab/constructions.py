@@ -101,6 +101,8 @@ def katona_family(n: int, t: int) -> Family:
     Size-threshold family when n+t is even; the off-element-1 threshold
     family when n+t is odd.
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, not {n}")
     if not 1 <= t <= n:
         raise ValueError(f"t={t} outside 1..{n}")
     if (n + t) % 2 == 0:

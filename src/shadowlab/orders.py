@@ -148,6 +148,8 @@ def lex_segment(n: int, t: int, k: int) -> Family:
 
 
 def _check_segment_args(n: int, t: int, k: int) -> None:
+    if n < 0:
+        raise ValueError(f"need n >= 0, not {n}")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside 0..{n}")
     if not 0 <= t <= comb(n, k):

@@ -10,7 +10,10 @@ any other is stopped as it streams.
 The numbered spaces, all-families and random-sample, build instance i from
 i alone, so a scan can check any index range of them by itself.  On their
 level masks a ``mask_filter`` (shifted, or pairwise intersecting) can
-reject an instance before its Family is built.
+reject an instance before its Family is built.  A filter is both a
+predicate, which a sample tries on each drawn mask, and an enumerator of
+the masks it keeps in an index range, which all-families walks instead of
+trying every mask of the range.
 """
 
 from __future__ import annotations
@@ -268,19 +271,23 @@ def _iter_numbered(space: InstanceSpace, lo: int, hi: int, keep=None):
     mask i of the k-level, or the mask sample i draws over its k-level or,
     without k, over all of 2^[n].
 
-    With `keep`, a predicate on level masks, a mask it rejects yields None
-    instead of a Family."""
+    With `keep`, a level-mask filter, only the instances it keeps are built
+    and yielded: all-families enumerates them by `keep.masks`, and a sample
+    tries each drawn mask with the predicate."""
     n, k = space.get("n"), space.get("k")
     if space.kind == "all-families":
-        words, masks = level_words(n, k), range(lo, hi)
+        words = level_words(n, k)
+        masks = range(lo, hi) if keep is None else keep.masks(lo, hi)
     else:
         if k is None and n > 16 and lo < hi:
             raise ValueError("non-uniform random sampling limited to n <= 16")
         words = range(1 << n) if k is None else level_words(n, k)
         seed = space.get("seed", 0) * 1_000_003
         masks = (random.Random(seed + idx).getrandbits(len(words)) for idx in range(lo, hi))
+        if keep is not None:
+            masks = filter(keep, masks)
     for mask in masks:
-        yield _mask_family(n, k, words, mask) if keep is None or keep(mask) else None
+        yield _mask_family(n, k, words, mask)
 
 
 def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
@@ -293,29 +300,76 @@ def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
     return Family(n, sel, k=k if not sel else None)
 
 
-def _closure_filter(size: int, per_word, flip: int):
-    """The predicate on masks over a level of `size` words: True iff no word
-    i in the mask has a bit of per_word(i) in mask ^ flip.  Words are tried
-    from the highest index down, where a random mask most often fails
-    first, and per_word(i) is computed when word i is first tried: a sample
-    of a large level tries few of its words, and all the masks of a level
-    would take about size**2 / 8 bytes."""
-    known: list[int | None] = [None] * size
+class _ClosureFilter:
+    """A filter on the masks over a level of `size` words: mask m is kept
+    iff no word i in m has a bit of per_word(i) in m ^ flip.  With flip the
+    full mask, per_word(i) holds the bits word i requires; with flip 0, the
+    bits it forbids.  per_word(i) is computed when word i is first needed:
+    a sample of a large level tries few of its words, and all the masks of
+    a level would take about size**2 / 8 bytes.
 
-    def keep(mask: int) -> bool:
-        bad = mask ^ flip
+    Called on a mask, it is the predicate; `masks(lo, hi)` enumerates the
+    kept masks of a range without trying the others."""
+
+    def __init__(self, size: int, per_word, flip: int):
+        self.size, self.per_word, self.flip = size, per_word, flip
+        self.known: list[int | None] = [None] * size
+
+    def word(self, i: int) -> int:
+        bits = self.known[i]
+        if bits is None:
+            bits = self.known[i] = self.per_word(i)
+        return bits
+
+    def __call__(self, mask: int) -> bool:
+        """Words are tried from the highest index down, where a random mask
+        most often fails first."""
+        known, bad = self.known, mask ^ self.flip
         rest = mask
         while rest:
             top = rest.bit_length() - 1
             bits = known[top]
             if bits is None:
-                bits = known[top] = per_word(top)
+                bits = self.word(top)
             if bits & bad:
                 return False
             rest ^= 1 << top
         return True
 
-    return keep
+    def masks(self, lo: int, hi: int):
+        """Every kept mask in [lo, hi), ascending.
+
+        An explicit-stack DFS decides words from the highest down, "exclude"
+        before "include", as `_iter_down_sets` does.  It carries `pinned`,
+        the bits that included words pin to their value in flip: a pinned
+        word is included or excluded as flip says, a free word takes both
+        branches.  An included word's bits at or above its own are checked
+        against the decided prefix when it joins; its lower bits are pinned.
+        A prefix whose interval [prefix, prefix + 2^i) misses [lo, hi) is
+        dropped, and since masks come out ascending, the first prefix at or
+        past hi ends the walk."""
+        flip, words = self.flip, [self.word(i) for i in range(self.size)]
+        stack = [(self.size, 0, 0)]   # (words left to decide, prefix, pinned)
+        while stack:
+            i, mask, pinned = stack.pop()
+            if mask >= hi:
+                return
+            while i and mask + (1 << i) > lo:
+                i -= 1
+                bit = 1 << i
+                if not pinned & bit:
+                    if not (words[i] & ((mask | bit) ^ flip)) >> i:
+                        stack.append((i, mask | bit, pinned | words[i]))
+                elif flip & bit:   # pinned in: a clash above ends the branch
+                    if (words[i] & ((mask | bit) ^ flip)) >> i:
+                        break
+                    mask |= bit
+                    pinned |= words[i]
+                    if mask >= hi:
+                        return
+            else:
+                if mask >= lo:
+                    yield mask
 
 
 @functools.lru_cache(maxsize=64)
@@ -323,7 +377,7 @@ def _shifted_filter(n: int, k: int):
     """Keeps exactly the shifted masks of the k-level of [n]: those holding
     the immediate shift predecessors of each of their words."""
     preds = level(n, k).shift_preds
-    return _closure_filter(
+    return _ClosureFilter(
         len(preds), lambda i: sum(1 << j for j in preds[i]), (1 << len(preds)) - 1
     )
 
@@ -333,7 +387,7 @@ def _intersecting_filter(n: int, k: int):
     """Keeps exactly the pairwise intersecting masks of the k-level of [n]:
     no word is disjoint from a word of the mask, itself included."""
     words = level_words(n, k)
-    return _closure_filter(
+    return _ClosureFilter(
         len(words),
         lambda i: sum(1 << j for j, other in enumerate(words) if not words[i] & other),
         0,

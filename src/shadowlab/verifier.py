@@ -548,9 +548,6 @@ def _check_stream(check, stream) -> dict:
         "counterexamples": [], "equality_witnesses": [],
     }
     for inst in stream:
-        if inst is None:  # a level mask the check's mask filter rejected
-            tallies["skipped"] += 1
-            continue
         status, detail = check(inst)
         if status == "skip":
             tallies["skipped"] += 1
@@ -570,10 +567,16 @@ def _check_stream(check, stream) -> dict:
 
 
 def _check_range(check, space: InstanceSpace, block) -> dict:
-    """Check instances lo..hi-1 of a numbered space, building only those
-    that pass the check's mask filter."""
+    """Check instances lo..hi-1 of a numbered space.  With the check's mask
+    filter only the instances it keeps are built and checked (on
+    all-families the filter enumerates them, so the time goes with the kept
+    instances, not the range); every instance of the range that is not
+    checked is skipped, so the rest are counted in one step."""
+    lo, hi = block
     keep = getattr(check, "mask_filter", None)
-    return _check_stream(check, _iter_numbered(space, *block, keep))
+    tallies = _check_stream(check, _iter_numbered(space, lo, hi, keep))
+    tallies["skipped"] = (hi - lo) - tallies["checked"]
+    return tallies
 
 
 def _worker_scan(claim_id, space_text, params, block):

@@ -345,6 +345,28 @@ def test_negative_ground_set_names_n(capsys):
         assert "n >= 0" in err and "outside" not in err and "Traceback" not in err
 
 
+def test_negative_ground_set_names_n_in_katona_and_segments(capsys):
+    for argv in (
+        ["construct", "katona_t", "--n", "-1", "--t", "1"],
+        ["construct", "lex_seg", "--n", "-1", "--t", "0", "--k", "0"],
+        ["construct", "colex_seg", "--n", "-1", "--t", "0", "--k", "0"],
+    ):
+        assert _exit_code(argv) == 64, argv
+        err = capsys.readouterr().err
+        assert "need n >= 0, not -1" in err and "outside" not in err, argv
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 1), (0, 3)])
+def test_cross_stability_refuses_a_side_below_2_before_its_scan(capsys, a, b):
+    start = time.perf_counter()
+    argv = ["verify", "--claim", "cross-diversity-stability",
+            "--space", f"all-cross-pairs:n=6,a={a},b={b}", "--jobs", "1"]
+    assert _exit_code(argv) == 64
+    assert time.perf_counter() - start < 0.5
+    assert f"need a >= 2 and b >= 2, not a={a}, b={b}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("claim, space, budget", [
     # at the A threshold 10, the C(20,10) = 184,756 A-sides exceed the budget
     ("cross-diversity-stability", "all-cross-pairs:n=6,a=3,b=3", "100000"),

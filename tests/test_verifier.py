@@ -1,5 +1,6 @@
 """Instance spaces, the claim engine, reports and their replay guarantees."""
 
+import bisect
 import concurrent.futures
 import functools
 import itertools
@@ -883,6 +884,61 @@ def test_mask_filters_are_exact_on_small_levels(n, k):
         fam = spaces._mask_family(n, k, words, mask)
         assert shifted(mask) == is_shifted(fam), mask
         assert intersecting(mask) == is_r_wise_t_intersecting(fam, 2, 1), mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_masks(), st.integers(0, 600), st.integers(0, 600))
+def test_filter_masks_are_the_kept_masks_of_a_range(case, below, above):
+    # a window around a drawn mask, so large levels show kept masks in it too
+    n, k, mask = case
+    lo, hi = max(0, mask - below), min(1 << comb(n, k), mask + above)
+    for keep in (spaces._shifted_filter(n, k), spaces._intersecting_filter(n, k)):
+        assert list(keep.masks(lo, hi)) == [m for m in range(lo, hi) if keep(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda size: st.tuples(
+    st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size),
+    st.integers(0, (1 << size) - 1), st.integers(0, 1 << size), st.integers(0, 1 << size))))
+def test_any_closure_filter_enumerates_its_predicate(case):
+    # any table and flip, so words pinned in with bits above them come up too
+    table, flip, lo, hi = case
+    keep = spaces._ClosureFilter(len(table), table.__getitem__, flip)
+    assert list(keep.masks(lo, hi)) == [m for m in range(lo, hi) if keep(m)]
+
+
+@pytest.mark.parametrize("n,k", [(3, 0), (4, 1), (3, 3), (4, 2), (5, 2), (5, 3), (4, 4)])
+def test_filter_masks_are_exact_on_small_levels(n, k):
+    # every range of a level of up to 64 masks; of a larger level every
+    # prefix, every suffix and every range of up to 16 masks
+    total = 1 << comb(n, k)
+    for keep in (spaces._shifted_filter(n, k), spaces._intersecting_filter(n, k)):
+        kept = [m for m in range(total) if keep(m)]
+        for lo in range(total + 1):
+            for hi in range(lo, total + 1):
+                if total <= 64 or lo == 0 or hi == total or hi - lo <= 16:
+                    at = bisect.bisect_left
+                    assert list(keep.masks(lo, hi)) == kept[at(kept, lo):at(kept, hi)], (lo, hi)
+
+
+def test_filtered_level_scans_enumerate_instead_of_testing_masks(monkeypatch):
+    def refuse(self, mask):
+        raise AssertionError(f"an all-families scan tested mask {mask}")
+
+    # forked workers inherit the patch too
+    monkeypatch.setattr(spaces._ClosureFilter, "__call__", refuse)
+    for claim, (n, k) in itertools.product(sorted(FILTERED), ((5, 2), (5, 3), (6, 3))):
+        space = InstanceSpace.make("all-families", n=n, k=k)
+        serial = verify(claim, space, FILTERED[claim], jobs=1)
+        assert serial.checked + serial.skipped == 1 << comb(n, k)
+        for jobs in (2, 3):
+            rep = verify(claim, space, FILTERED[claim], jobs=jobs)
+            assert rep.canonical_json() == serial.canonical_json(), (claim, n, k, jobs)
+        if n == 5:
+            # the reference: every family of the level through the check alone
+            check = CLAIMS[claim].prepare(space, dict(FILTERED[claim], _notes={}))
+            reference = verifier._check_stream(check, iter_space(space))
+            assert {key: getattr(serial, key) for key in reference} == reference
 
 
 def test_filtered_claims_carry_their_filter_only_on_level_masks():
