@@ -98,17 +98,20 @@ def _cross_pair_size(n, a, u, v):
     )
 
 
-def _shadow_stability(n, k, x, y):
+def _shadow_stability_range(n, k, x, y):
+    """The range both Kruskal-Katona stability bounds are stated for."""
     _req(n > k > 0, "need n > k > 0")
     _req(k - 1 <= x <= n - 3, "need k-1 <= x <= n-3")
     _req(n - k <= y <= n - 3, "need n-k <= y <= n-3")
+
+
+def _shadow_stability(n, k, x, y):
+    _shadow_stability_range(n, k, x, y)
     return gbinom(n, k - 1) - gbinom(_i(y), n - k + 1) + gbinom(_i(x), max(k - 2, 0))
 
 
 def _shadow_stability_size(n, k, x, y):
-    _req(n > k > 0, "need n > k > 0")
-    _req(k - 1 <= x <= n - 3, "need k-1 <= x <= n-3")
-    _req(n - k <= y <= n - 3, "need n-k <= y <= n-3")
+    _shadow_stability_range(n, k, x, y)
     return gbinom(n, k) - gbinom(_i(y), n - k) + gbinom(_i(x), k - 1)
 
 
@@ -211,8 +214,7 @@ def _i(value: Numeric) -> Numeric:
 
 
 def _int_param(value: Numeric) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    value = _i(value)
     if not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
     return value

@@ -14,6 +14,12 @@ reject an instance before its Family is built.  A filter is both a
 predicate, which a sample tries on each drawn mask, and an enumerator of
 the masks it keeps in an index range, which all-families walks instead of
 trying every mask of the range.
+
+That enumerator, `_ClosureFilter.masks`, is the one closure walk: the
+shifted families are the kept masks of the shifted filter, the up-sets those
+of a filter on the superset table, and the cross-intersecting pairs those of
+a filter over the a-words and b-words together, each walked over its whole
+range.
 """
 
 from __future__ import annotations
@@ -301,15 +307,18 @@ def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
 
 
 class _ClosureFilter:
-    """A filter on the masks over a level of `size` words: mask m is kept
-    iff no word i in m has a bit of per_word(i) in m ^ flip.  With flip the
-    full mask, per_word(i) holds the bits word i requires; with flip 0, the
-    bits it forbids.  per_word(i) is computed when word i is first needed:
-    a sample of a large level tries few of its words, and all the masks of
-    a level would take about size**2 / 8 bytes.
+    """A filter on the masks over `size` words: mask m is kept iff no word
+    i in m has a bit of per_word(i) in m ^ flip.  Where flip is set at bit
+    j, per_word(i) holding j means word i requires word j; where flip is
+    clear, that word i forbids word j.  per_word(i) is computed when word i
+    is first needed: a sample of a large level tries few of its words, and
+    all the masks of a level would take about size**2 / 8 bytes.
 
     Called on a mask, it is the predicate; `masks(lo, hi)` enumerates the
-    kept masks of a range without trying the others."""
+    kept masks of a range without trying the others.  The walk takes only
+    tables whose bits at or above a word are the word's own bit or mutual
+    exclusions: a bit j above word i needs flip clear at i and j, and i in
+    per_word(j)."""
 
     def __init__(self, size: int, per_word, flip: int):
         self.size, self.per_word, self.flip = size, per_word, flip
@@ -337,49 +346,66 @@ class _ClosureFilter:
         return True
 
     def masks(self, lo: int, hi: int):
-        """Every kept mask in [lo, hi), ascending.
+        """Every kept mask in [lo, hi), ascending; raises ValueError, before
+        the walk, on a table outside the contract above.
 
         An explicit-stack DFS decides words from the highest down, "exclude"
-        before "include", as `_iter_down_sets` does.  It carries `pinned`,
-        the bits that included words pin to their value in flip: a pinned
-        word is included or excluded as flip says, a free word takes both
-        branches.  An included word's bits at or above its own are checked
-        against the decided prefix when it joins; its lower bits are pinned.
-        A prefix whose interval [prefix, prefix + 2^i) misses [lo, hi) is
-        dropped, and since masks come out ascending, the first prefix at or
-        past hi ends the walk."""
-        flip, words = self.flip, [self.word(i) for i in range(self.size)]
-        stack = [(self.size, 0, 0)]   # (words left to decide, prefix, pinned)
+        before "include": it follows the exclude branch at once and stacks
+        the include branch, so masks come out ascending as they are found.
+        It carries `pinned`, the bits that included words pin to their value
+        in flip: a pinned word is included or excluded as flip says, a free
+        word takes both branches.  A bit above a word is a mutual exclusion,
+        pinned when the higher word joined, so every branch ends in a kept
+        mask; a word that forbids itself is pinned out from the start.  A
+        stacked prefix whose interval [prefix, prefix + 2^i) lies below lo is
+        dropped, and the first mask at or past hi ends the walk."""
+        flip, words, barred = self.flip, [self.word(i) for i in range(self.size)], 0
+        for i, bits in enumerate(words):
+            if bits >> i & ~flip >> i & 1:
+                barred |= 1 << i
+            above = bits >> i + 1 << i + 1
+            while above:
+                j = above.bit_length() - 1
+                if (flip >> i | flip >> j) & 1 or not words[j] >> i & 1:
+                    raise ValueError(f"word {i} holds bit {j} above it, not a mutual exclusion")
+                above ^= 1 << j
+        stack = [(self.size, 0, barred)]   # (words left to decide, prefix, pinned)
         while stack:
             i, mask, pinned = stack.pop()
-            if mask >= hi:
-                return
-            while i and mask + (1 << i) > lo:
+            if mask + (1 << i) <= lo:
+                continue
+            while i:
                 i -= 1
                 bit = 1 << i
                 if not pinned & bit:
-                    if not (words[i] & ((mask | bit) ^ flip)) >> i:
-                        stack.append((i, mask | bit, pinned | words[i]))
-                elif flip & bit:   # pinned in: a clash above ends the branch
-                    if (words[i] & ((mask | bit) ^ flip)) >> i:
-                        break
+                    stack.append((i, mask | bit, pinned | words[i]))
+                elif flip & bit:
                     mask |= bit
                     pinned |= words[i]
-                    if mask >= hi:
-                        return
-            else:
-                if mask >= lo:
-                    yield mask
+            if mask >= hi:
+                return
+            if mask >= lo:
+                yield mask
 
 
 @functools.lru_cache(maxsize=64)
 def _shifted_filter(n: int, k: int):
     """Keeps exactly the shifted masks of the k-level of [n]: those holding
-    the immediate shift predecessors of each of their words."""
+    the immediate shift predecessors of each of their words.  Words are
+    indexed in colex order, so each predecessor sits below its word; the
+    covering relations generate the shifting order, so its kept masks are
+    exactly the shifted families."""
     preds = level(n, k).shift_preds
     return _ClosureFilter(
         len(preds), lambda i: sum(1 << j for j in preds[i]), (1 << len(preds)) - 1
     )
+
+
+def _iter_shifted(n: int, k: int):
+    """The shifted families of the k-level of [n], mask ascending."""
+    shifted, words = _shifted_filter(n, k), level_words(n, k)
+    for mask in shifted.masks(0, 1 << shifted.size):
+        yield _mask_family(n, k, words, mask)
 
 
 @functools.lru_cache(maxsize=64)
@@ -402,43 +428,6 @@ def _with_mask_filter(check, space: InstanceSpace, make):
     return check
 
 
-def _iter_down_sets(pred: list[int]):
-    """Every mask closed under pred (bit i set => bits pred[i] set), ascending.
-
-    pred[i] may hold only bits below i.  An explicit-stack DFS decides bits
-    from the highest down, "exclude" before "include": it follows the
-    exclude branch at once and stacks the include branch, so masks come out
-    in ascending order as they are found.  A bit some included bit requires
-    cannot be excluded, so every branch ends in a mask.
-    """
-    stack = [(len(pred) - 1, 0, 0)]   # (bit to decide, mask, required bits)
-    while stack:
-        i, mask, required = stack.pop()
-        while i >= 0:
-            bit = 1 << i
-            if required & bit:
-                mask |= bit
-                required |= pred[i]
-            else:
-                stack.append((i - 1, mask | bit, required | pred[i]))
-            i -= 1
-        yield mask
-
-
-def _iter_shifted(n: int, k: int):
-    """Down-sets of the shifting partial order on the k-level.
-
-    Words are indexed in colex order; a word may join only once its
-    immediate shift predecessors have.  Those covering relations generate
-    the order, so this enumerates exactly the shifted families.
-    """
-    lvl = level(n, k)
-    words = lvl.words
-    pred_mask = [sum(1 << j for j in preds) for preds in lvl.shift_preds]
-    for mask in _iter_down_sets(pred_mask):
-        yield _mask_family(n, k, words, mask)
-
-
 def _cross_meets(n: int, a: int, b: int) -> list[int]:
     """For each a-set (colex index), the mask of the b-sets it meets."""
     words_b = level_words(n, b)
@@ -451,28 +440,21 @@ def _cross_meets(n: int, a: int, b: int) -> list[int]:
 def _iter_cross_pairs(n: int, a: int, b: int):
     """All cross-intersecting pairs (A, B) with A in the a-level, B in the b-level.
 
-    For each A the compatible B-sets form one maximal mask, so the stream
-    is A-mask ascending, then B-submask ascending.
+    One filter walks the la + lb words, the b-words in the low bits and the
+    a-words above them, each a-word forbidding the b-words it misses.  So
+    the stream is A-mask ascending, then B-mask ascending.
     """
     words_a = level_words(n, a)
     words_b = level_words(n, b)
-    meets = _cross_meets(n, a, b)
-    full_b = (1 << len(words_b)) - 1
-    for amask in range(1 << len(words_a)):
-        bmax = full_b
-        m = amask
-        while m:
-            low = m & -m
-            bmax &= meets[low.bit_length() - 1]
-            m ^= low
-        fam_a = _mask_family(n, a, words_a, amask)
-        # ascending submask walk of bmax
-        sub = 0
-        while True:
-            yield fam_a, _mask_family(n, b, words_b, sub)
-            if sub == bmax:
-                break
-            sub = (sub - bmax) & bmax
+    lb, full_b = len(words_b), (1 << len(words_b)) - 1
+    misses = [full_b & ~meet for meet in _cross_meets(n, a, b)]
+    pairs = _ClosureFilter(len(words_a) + lb, lambda i: misses[i - lb] if i >= lb else 0, 0)
+    amask = fam_a = None
+    for mask in pairs.masks(0, 1 << pairs.size):
+        if mask >> lb != amask:
+            amask = mask >> lb
+            fam_a = _mask_family(n, a, words_a, amask)
+        yield fam_a, _mask_family(n, b, words_b, mask & full_b)
 
 
 def _iter_graphs(n: int):
@@ -508,6 +490,6 @@ def _iter_up_sets(n: int):
             low = free & -free
             sup_mask[i] |= 1 << pos[w | low]
             free ^= low
-    for mask in _iter_down_sets(sup_mask):
-        yield Family(n, (order[i] for i in range(len(order)) if mask >> i & 1))
-
+    ups = _ClosureFilter(len(order), sup_mask.__getitem__, (1 << len(order)) - 1)
+    for mask in ups.masks(0, 1 << len(order)):
+        yield _mask_family(n, None, order, mask)

@@ -23,7 +23,7 @@ from shadowlab.diversity import s_diversity
 from shadowlab.families import Family, InvariantViolation, is_r_wise_t_intersecting, matching_number
 from shadowlab.orders import Ordering, compare, level_words, lex_segment
 from shadowlab.shifting import is_shifted
-from shadowlab.spaces import BudgetExceeded, InstanceSpace, _iter_down_sets, iter_space, space_size
+from shadowlab.spaces import BudgetExceeded, InstanceSpace, iter_space, space_size
 from shadowlab.verifier import Report, reverify, verify, verify_cross_pair_space
 
 
@@ -88,16 +88,36 @@ def test_all_families_counts():
     assert len({f.members for f in fams}) == 64
 
 
+def _moves_closed_masks(n, k):
+    """Every mask of the k-level of [n] closed under each shift move, an
+    element j of a word down to a free i < j, ascending.  All masks are
+    tried at once, one column of bits per word."""
+    import numpy as np
+
+    words = level_words(n, k)
+    index = {w: i for i, w in enumerate(words)}
+    masks = np.arange(1 << len(words), dtype=np.int64)
+    col = [(masks >> i & 1).astype(bool) for i in range(len(words))]
+    keep = np.ones(len(masks), dtype=bool)
+    for i, w in enumerate(words):
+        for j, low in itertools.combinations(range(n), 2):
+            if w >> low & 1 and not w >> j & 1:
+                keep &= ~col[i] | col[index[w ^ (1 << low) ^ (1 << j)]]
+    return [int(m) for m in np.flatnonzero(keep)]
+
+
 def test_all_shifted_families_matches_filter():
-    space = InstanceSpace.make("all-shifted-families", n=4, k=2)
-    shifted = list(iter_space(space))
-    assert all(is_shifted(f) for f in shifted)
-    brute = [
-        f
-        for f in iter_space(InstanceSpace.make("all-families", n=4, k=2))
-        if is_shifted(f)
-    ]
-    assert {f.members for f in shifted} == {f.members for f in brute}
+    # the whole stream, in order, against the ascending masks of the level
+    # that is_shifted keeps; at (6,3), 2^20 masks, against the move closure
+    for n, k in ((4, 2), (5, 2), (5, 3), (6, 3)):
+        words = level_words(n, k)
+        shifted = [f.members for f in iter_space(InstanceSpace.make("all-shifted-families", n=n, k=k))]
+        expected = [spaces._mask_family(n, k, words, m).members for m in _moves_closed_masks(n, k)]
+        if len(words) <= 10:
+            brute = iter_space(InstanceSpace.make("all-families", n=n, k=k))
+            assert [f.members for f in brute if is_shifted(f)] == expected
+        assert all(is_shifted(Family(n, members, k)) for members in expected)
+        assert shifted == expected, (n, k)
 
 
 def test_all_graphs_matches_filter():
@@ -112,21 +132,28 @@ def test_all_graphs_matches_filter():
         assert cover == full
 
 
-def test_all_up_sets_dedekind_count():
-    ups = list(iter_space(InstanceSpace.make("all-up-sets", n=4)))
-    assert len(ups) == 168
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, (1 << 9) - 1), max_size=9))
-def test_down_set_enumerator_matches_filter(raw):
-    # keep only predecessors below each index, as both callers provide
-    pred = [p & ((1 << i) - 1) for i, p in enumerate(raw)]
-    expected = [
-        mask for mask in range(1 << len(pred))
-        if all(pred[i] & mask == pred[i] for i in range(len(pred)) if mask >> i & 1)
+def _up_sets(n):
+    """Every up-set of 2^[n] as a frozenset of words: one of 2^[n-1] and the
+    sets of [n-1] that join element n-1, an up-set holding the first."""
+    if n == 0:
+        return [frozenset(), frozenset({0})]
+    smaller = _up_sets(n - 1)
+    top = 1 << (n - 1)
+    return [
+        without | {w | top for w in with_top}
+        for without in smaller for with_top in smaller if without <= with_top
     ]
-    assert list(_iter_down_sets(pred)) == expected
+
+
+def test_all_up_sets_dedekind_count():
+    # the whole stream, in order: by the mask over the sets of 2^[n] in
+    # descending size, then ascending, as the space documents
+    for n, count in enumerate((2, 3, 6, 20, 168, 7581)):
+        ups = [f.members for f in iter_space(InstanceSpace.make("all-up-sets", n=n))]
+        order = sorted(range(1 << n), key=lambda w: (-w.bit_count(), w))
+        rank = {up: sum(1 << order.index(w) for w in up) for up in _up_sets(n)}
+        assert ups == [tuple(sorted(up)) for up in sorted(rank, key=rank.get)]
+        assert len(ups) == count
 
 
 def test_budget_stops_down_set_spaces_early():
@@ -134,28 +161,49 @@ def test_budget_stops_down_set_spaces_early():
     # families; the budget must stop both as they stream
     with pytest.raises(BudgetExceeded):
         verify("t-intersecting-max", "all-up-sets:n=7", params={"t": 2}, budget=10)
-    with pytest.raises(BudgetExceeded):
+    message = "all-shifted-families:k=4,n=9 exceeded the budget of 1000 instances"
+    with pytest.raises(BudgetExceeded) as stop:
         verify("shifted-structure", "all-shifted-families:n=9,k=4", budget=1000)
+    assert str(stop.value) == message
+    streamed = 0
+    with pytest.raises(BudgetExceeded) as stop:
+        for _ in iter_space(InstanceSpace.parse("all-shifted-families:n=9,k=4"), budget=1000):
+            streamed += 1
+    assert streamed == 1000 and str(stop.value) == message
+
+
+def test_closure_spaces_stream_through_one_walk(monkeypatch):
+    walks = []
+    masks = spaces._ClosureFilter.masks
+
+    def counting(self, lo, hi):
+        walks.append((lo, hi))
+        return masks(self, lo, hi)
+
+    monkeypatch.setattr(spaces._ClosureFilter, "masks", counting)
+    for text in ("all-shifted-families:n=5,k=2", "all-up-sets:n=4", "all-cross-pairs:n=4,a=2,b=2"):
+        walks.clear()
+        assert sum(1 for _ in iter_space(InstanceSpace.parse(text))) > 1
+        assert len(walks) == 1, text
 
 
 def test_cross_pairs_all_cross_intersecting():
-    from shadowlab.families import is_cross_t_intersecting
-
-    space = InstanceSpace.make("all-cross-pairs", n=4, a=2, b=2)
-    pairs = list(iter_space(space))
-    for fa, fb in pairs:
-        if len(fa) and len(fb):
-            assert is_cross_t_intersecting([fa, fb], 1)
-    # completeness: brute-force count of cross-intersecting pairs
-    words = level_words(4, 2)
-    count = 0
-    for amask in range(1 << 6):
-        asel = [words[i] for i in range(6) if amask >> i & 1]
-        for bmask in range(1 << 6):
-            bsel = [words[i] for i in range(6) if bmask >> i & 1]
-            if all(x & y for x in asel for y in bsel):
-                count += 1
-    assert len(pairs) == count
+    # the whole stream, in order, against every (A, B) mask pair that is
+    # cross-intersecting: each B word meets every A word
+    for n, a, b in ((4, 2, 2), (5, 2, 2), (4, 1, 2), (3, 0, 1), (2, 0, 0)):
+        words_a, words_b = level_words(n, a), level_words(n, b)
+        expected = []
+        for amask in range(1 << len(words_a)):
+            fam_a = tuple(w for i, w in enumerate(words_a) if amask >> i & 1)
+            meet_all = sum(
+                1 << j for j, wb in enumerate(words_b) if all(wa & wb for wa in fam_a)
+            )
+            for bmask in range(1 << len(words_b)):
+                if not bmask & ~meet_all:
+                    fam_b = tuple(w for j, w in enumerate(words_b) if bmask >> j & 1)
+                    expected.append((fam_a, fam_b))
+        pairs = iter_space(InstanceSpace.make("all-cross-pairs", n=n, a=a, b=b))
+        assert [(fa.members, fb.members) for fa, fb in pairs] == expected, (n, a, b)
 
 
 def test_random_sample_deterministic():
@@ -896,14 +944,67 @@ def test_filter_masks_are_the_kept_masks_of_a_range(case, below, above):
         assert list(keep.masks(lo, hi)) == [m for m in range(lo, hi) if keep(m)]
 
 
+@st.composite
+def closure_tables(draw, exclusions):
+    """(table, flip, lo, hi) over up to 8 words: each word's bits below it
+    and its own bit drawn at will and, with `exclusions`, pairs of words
+    clear in flip that exclude each other, listed at both words."""
+    size = draw(st.integers(0, 8))
+    flip = draw(st.integers(0, (1 << size) - 1))
+    table = [draw(st.integers(0, (2 << i) - 1)) for i in range(size)]
+    clear = [i for i in range(size) if not flip >> i & 1]
+    if exclusions and len(clear) >= 2:
+        for i, j in draw(st.lists(st.sampled_from(list(itertools.combinations(clear, 2))))):
+            table[i] |= 1 << j
+            table[j] |= 1 << i
+    return table, flip, draw(st.integers(0, 1 << size)), draw(st.integers(0, 1 << size))
+
+
+def _kept_by_definition(table, flip, lo, hi):
+    """The masks of [lo, hi) in which no word has a bit of its table entry in
+    mask ^ flip."""
+    return [
+        m for m in range(lo, hi)
+        if not any(m >> i & 1 and table[i] & (m ^ flip) for i in range(len(table)))
+    ]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 8).flatmap(lambda size: st.tuples(
-    st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size),
-    st.integers(0, (1 << size) - 1), st.integers(0, 1 << size), st.integers(0, 1 << size))))
-def test_any_closure_filter_enumerates_its_predicate(case):
-    # any table and flip, so words pinned in with bits above them come up too
+@given(closure_tables(exclusions=False))
+def test_closure_walk_matches_its_predicate_on_tables_below_each_word(case):
+    # any flip and any range: the down-set spaces' tables, with flip full,
+    # are the case of the bits below each word that the word requires
     table, flip, lo, hi = case
     keep = spaces._ClosureFilter(len(table), table.__getitem__, flip)
+    assert list(keep.masks(lo, hi)) == _kept_by_definition(table, flip, lo, hi)
+
+
+def _walkable(table, flip):
+    """Every bit j above word i is a mutual exclusion: flip clear at i and
+    j, and i in the table entry of j."""
+    return all(
+        not (flip >> i | flip >> j) & 1 and table[j] >> i & 1
+        for i in range(len(table)) for j in range(i + 1, len(table)) if table[i] >> j & 1
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(0, 8).flatmap(lambda size: st.tuples(
+        st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size),
+        st.integers(0, (1 << size) - 1), st.integers(0, 1 << size), st.integers(0, 1 << size))),
+    closure_tables(exclusions=True),
+))
+def test_any_closure_filter_enumerates_its_predicate(case):
+    # any table and flip: the walk refuses a table with a bit above a word
+    # that is not a mutual exclusion, and enumerates the predicate's masks
+    # on every other, mutual exclusions above a word drawn on purpose
+    table, flip, lo, hi = case
+    keep = spaces._ClosureFilter(len(table), table.__getitem__, flip)
+    if not _walkable(table, flip):
+        with pytest.raises(ValueError, match="not a mutual exclusion"):
+            next(keep.masks(lo, hi))
+        return
     assert list(keep.masks(lo, hi)) == [m for m in range(lo, hi) if keep(m)]
 
 
