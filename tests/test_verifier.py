@@ -13,7 +13,7 @@ from concurrent.futures import Future
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import claims, shifting, spaces, verifier
@@ -995,6 +995,10 @@ def _walkable(table, flip):
         st.integers(0, (1 << size) - 1), st.integers(0, 1 << size), st.integers(0, 1 << size))),
     closure_tables(exclusions=True),
 ))
+# a bit above word 0 set in flip, word 0 set in flip, and no partner entry
+@example(([0b10, 0b01], 0b10, 0, 4))
+@example(([0b10, 0b01], 0b01, 0, 4))
+@example(([0b10, 0b00], 0b00, 0, 4))
 def test_any_closure_filter_enumerates_its_predicate(case):
     # any table and flip: the walk refuses a table with a bit above a word
     # that is not a mutual exclusion, and enumerates the predicate's masks
