@@ -49,6 +49,7 @@ from .spaces import (
 )
 
 MAX_RECORDED = 1000
+KERNEL_BLOCK = 1 << 16  # masks per numpy block in the shadow and graph kernels
 
 
 # ---------------------------------------------------------------------------
@@ -143,64 +144,80 @@ def _instance_from_payload(payload):
 # ---------------------------------------------------------------------------
 
 
+def _split_table(member_masks: list[int], limbs: int):
+    """Row-major table of the OR of member_masks[i] over the bits i of each
+    mask of len(member_masks) bits: shape (limbs, 2^len), uint64 limbs,
+    least significant first."""
+    import numpy as np
+
+    tab = np.zeros((limbs, 1 << len(member_masks)), dtype=np.uint64)
+    for i, member in enumerate(member_masks):
+        limb_values = [member >> (64 * limb) & (1 << 64) - 1 for limb in range(limbs)]
+        tab[:, 1 << i:2 << i] = tab[:, :1 << i] | np.array(limb_values, dtype=np.uint64)[:, None]
+    return tab
+
+
 def _shadow_kernel(check, space: InstanceSpace, mode: str) -> dict:
     """Split-table scan of the shadow lower bounds over a full level.
 
     The shadow of a family is the union of per-member shadow masks, so a
-    mask's shadow splits as (high-table OR low-table); one pass covers all
-    2^C(n,k) subsets.  The verdict per family size comes from the checkers'
-    own _shadow_verdict, and counterexample details from the check itself.
+    mask's shadow splits as (high-table OR low-table), each table held as
+    uint64 limbs of the shadow level.  The 2^C(n,k) masks are popcounted
+    in blocks of whole high rows, about KERNEL_BLOCK masks each, so the
+    tables and one block are all the memory the scan holds.  The verdict
+    per family size comes from the checkers' own _shadow_verdict, and
+    counterexample details from the check itself.
     """
+    import numpy as np
+
     n, k = space.get("n"), space.get("k")
     words = level_words(n, k)
     m_words = len(words)
-    total = 1 << m_words
     member_masks = [sum(1 << i for i in sub) for sub in level(n, k).shadows]
+    limbs = max(1, -(-max(member_masks, default=0).bit_length() // 64))
     verdicts = [claims._shadow_verdict(mode, n, k, size) for size in range(m_words + 1)]
     # Skips depend on the size alone, so they are counted here, and a
     # skipped size gets floor -1 and equality size -1, which no shadow meets.
     skipped = sum(comb(m_words, size) for size, v in enumerate(verdicts) if v is None)
-    floors = [v[0] if v else -1 for v in verdicts]
-    equal_at = [v[0] if v and v[1] else -1 for v in verdicts]
+    floors = np.array([v[0] if v else -1 for v in verdicts], dtype=np.int16)
+    equal_at = np.array([v[0] if v and v[1] else -1 for v in verdicts], dtype=np.int16)
 
     split = m_words // 2
-    low_tab = [0] * (1 << split)
-    for mask in range(1, 1 << split):
-        low_tab[mask] = low_tab[mask & (mask - 1)] | member_masks[
-            (mask & -mask).bit_length() - 1
-        ]
-    high_tab = [0] * (1 << (m_words - split))
-    for mask in range(1, 1 << (m_words - split)):
-        high_tab[mask] = high_tab[mask & (mask - 1)] | member_masks[
-            split + (mask & -mask).bit_length() - 1
-        ]
+    low_tab = _split_table(member_masks[:split], limbs)
+    high_tab = _split_table(member_masks[split:], limbs)
+    # Row h of each: the floor or equality size of every low mask beside a
+    # high mask of h members.
+    sizes = np.arange(m_words - split + 1)[:, None] + np.bitwise_count(
+        np.arange(1 << split, dtype=np.uint64))
+    floor_rows, equal_rows = floors[sizes], equal_at[sizes]
+    high_sizes = np.bitwise_count(np.arange(1 << (m_words - split), dtype=np.uint64))
 
     violations = equalities = 0
     counterexamples: list = []
     witnesses: list = []
-    low_count = 1 << split
-    low_sizes = [lo.bit_count() for lo in range(low_count)]
-    for hi in range(1 << (m_words - split)):
-        hmask = high_tab[hi]
-        floor_of = floors[hi.bit_count():]
-        equal_of = equal_at[hi.bit_count():]
-        for lo in range(low_count):
-            sh = (hmask | low_tab[lo]).bit_count()
-            size = low_sizes[lo]
-            if sh < floor_of[size]:
-                violations += 1
-                if len(counterexamples) < MAX_RECORDED:
-                    fam = _mask_family(n, k, words, (hi << split) | lo)
-                    counterexamples.append(
-                        {"instance": _instance_payload(fam), "detail": check(fam)[1]}
-                    )
-            elif sh == equal_of[size]:
-                equalities += 1
-                if len(witnesses) < MAX_RECORDED:
-                    fam = _mask_family(n, k, words, (hi << split) | lo)
-                    witnesses.append(_instance_payload(fam))
+    rows = max(1, KERNEL_BLOCK >> split)
+    for start in range(0, 1 << (m_words - split), rows):
+        high = high_tab[:, start:start + rows, None]
+        sh = np.bitwise_count(high[0] | low_tab[0])
+        for limb in range(1, limbs):
+            sh = sh + np.bitwise_count(high[limb] | low_tab[limb]).astype(np.uint16)
+        hs = high_sizes[start:start + rows]
+        below = sh < floor_rows[hs]
+        met = sh == equal_rows[hs]
+        violations += int(np.count_nonzero(below))
+        equalities += int(np.count_nonzero(met))
+        # the flat index of a block entry, plus the block's first mask, is its mask
+        if len(counterexamples) < MAX_RECORDED:
+            for mask in (np.flatnonzero(below)[:MAX_RECORDED - len(counterexamples)]
+                         + (start << split)).tolist():
+                fam = _mask_family(n, k, words, mask)
+                counterexamples.append({"instance": _instance_payload(fam), "detail": check(fam)[1]})
+        if len(witnesses) < MAX_RECORDED:
+            for mask in (np.flatnonzero(met)[:MAX_RECORDED - len(witnesses)]
+                         + (start << split)).tolist():
+                witnesses.append(_instance_payload(_mask_family(n, k, words, mask)))
     return {
-        "checked": total - skipped, "skipped": skipped,
+        "checked": (1 << m_words) - skipped, "skipped": skipped,
         "violations": violations, "equalities": equalities,
         "counterexamples": counterexamples, "equality_witnesses": witnesses,
     }
@@ -209,9 +226,10 @@ def _shadow_kernel(check, space: InstanceSpace, mode: str) -> dict:
 def _graph_kernel(check, space: InstanceSpace, params, budget) -> dict:
     """Vectorized scan of the graph-avoidance claim over all-graphs(n).
 
-    Statuses and details come from the checker's own _graph_verdict, and
-    instances are recorded in ascending edge-mask order.  Their payloads are
-    built once the scan's arrays are freed.
+    Statuses and details come from the checker's own _graph_verdict.  The
+    tallies are summed over the blocks of `_graph_keys`, and instances are
+    recorded in ascending edge-mask order; their payloads are built once the
+    scan's arrays are freed.
     """
     import numpy as np
 
@@ -226,12 +244,15 @@ def _graph_kernel(check, space: InstanceSpace, params, budget) -> dict:
     ]
     codes = ("ok", "violation", "equality", "skip")
     table = np.array([codes.index(v[0]) for v in verdicts], dtype=np.int8)
-    graphs, key = _graph_keys(n, edges)
-    status = table[key]
-    ok, violations, equalities, skipped = np.bincount(status, minlength=4).tolist()
-    picks = [np.flatnonzero(status == code)[:MAX_RECORDED] for code in (1, 2)]
-    recorded = [list(zip(graphs[at].tolist(), key[at].tolist())) for at in picks]
-    del graphs, key, status
+    tally = np.zeros(4, dtype=np.int64)
+    recorded: tuple[list, list] = ([], [])
+    for graphs, key in _graph_keys(n, edges):
+        status = table[key]
+        tally += np.bincount(status, minlength=4)
+        for code, kept in zip((1, 2), recorded):
+            at = np.flatnonzero(status == code)[:MAX_RECORDED - len(kept)]
+            kept.extend(zip(graphs[at].tolist(), key[at].tolist()))
+    ok, violations, equalities, skipped = tally.tolist()
     return {
         "checked": ok + violations + equalities, "skipped": skipped,
         "violations": violations, "equalities": equalities,
@@ -249,45 +270,53 @@ def _graph_kernel(check, space: InstanceSpace, params, budget) -> dict:
 def _graph_keys(n: int, edges):
     """Each graph of all-graphs(n), as its edge mask in ascending order, and
     the index (nu, avoided, complete) of its verdict in the graph kernel's
-    table.
+    table, yielded as (graphs, key) arrays block by block.
 
-    Every edge mask m gets its covered vertices, edge count and matching
-    number from m without its highest edge e, with
-    nu(m) = max(nu(m - e), 1 + nu(m minus every edge touching e)).  The edge
-    counts double as the popcount table for the edges each s-set avoids.
+    Every edge mask m gets its covered vertices and matching number from m
+    without its highest edge e, with
+    nu(m) = max(nu(m - e), 1 + nu(m minus every edge touching e)).  Those
+    two tables, one byte per edge mask up to n = 8, are the only arrays as
+    long as the space; everything else is built for one block of
+    KERNEL_BLOCK edge masks at a time.  A graph's edge count and the edges
+    each s-set avoids are popcounts.
     """
     import numpy as np
 
     num_edges = len(edges)
-    # The narrowest dtypes that hold an edge mask, a vertex mask and a count.
-    index = np.min_scalar_type((1 << num_edges) - 1)
-    cover = np.zeros(1 << num_edges, dtype=np.min_scalar_type((1 << n) - 1))
-    count = np.zeros(1 << num_edges, dtype=np.min_scalar_type(num_edges))
-    nu = np.zeros_like(count)
+    total = 1 << num_edges
+    # The narrowest dtypes that hold an edge mask and a vertex mask.
+    index = np.min_scalar_type(total - 1)
+    cover = np.zeros(total, dtype=np.min_scalar_type((1 << n) - 1))
+    nu = np.zeros(total, dtype=np.uint8)
     for e, word in enumerate(edges):
-        lo, hi = 1 << e, 2 << e
-        touching = sum(1 << f for f in range(e) if edges[f] & word)
-        apart = np.arange(lo, dtype=index) & ((lo - 1) ^ touching)
-        cover[lo:hi] = cover[:lo] | word
-        count[lo:hi] = count[:lo] + 1
-        nu[lo:hi] = np.maximum(nu[:lo], 1 + nu[apart])
-    graphs = np.flatnonzero(cover == (1 << n) - 1).astype(index)
-    del cover
+        lo = 1 << e
+        apart = (lo - 1) ^ sum(1 << f for f in range(e) if edges[f] & word)
+        cover[lo:2 * lo] = cover[:lo] | word
+        for start in range(0, lo, KERNEL_BLOCK):
+            stop = min(start + KERNEL_BLOCK, lo)
+            nu[lo + start:lo + stop] = np.maximum(
+                nu[start:stop], 1 + nu[np.arange(start, stop, dtype=index) & apart])
 
-    nu = nu[graphs]
-    avoided = count[graphs]
-    for s in range(1, n // 2 + 1):
-        sel = nu == s
-        sub = graphs[sel]
-        best = avoided[sel]
-        for r in level_words(n, s):
-            keep = sum(1 << e for e, word in enumerate(edges) if word & r == 0)
-            np.minimum(best, count[sub & keep], out=best)
-        avoided[sel] = best
-
-    key = nu.astype(np.min_scalar_type((n // 2 + 1) * (num_edges + 1) * 2))
-    key = (key * (num_edges + 1) + avoided) * 2 + (graphs == (1 << num_edges) - 1)
-    return graphs, key
+    # The edges avoiding each s-set, for s = 1 .. n // 2.
+    keeps = [
+        [sum(1 << e for e, word in enumerate(edges) if word & r == 0) for r in level_words(n, s)]
+        for s in range(1, n // 2 + 1)
+    ]
+    key_type = np.min_scalar_type((n // 2 + 1) * (num_edges + 1) * 2)
+    for start in range(0, total, KERNEL_BLOCK):
+        covering = np.flatnonzero(cover[start:start + KERNEL_BLOCK] == (1 << n) - 1)
+        graphs = (covering + start).astype(index)
+        nus = nu[graphs]
+        avoided = np.bitwise_count(graphs)
+        for s, keep_s in enumerate(keeps, start=1):
+            sel = nus == s
+            sub = graphs[sel]
+            best = avoided[sel]
+            for keep in keep_s:
+                np.minimum(best, np.bitwise_count(sub & keep), out=best)
+            avoided[sel] = best
+        key = (nus.astype(key_type) * (num_edges + 1) + avoided) * 2 + (graphs == total - 1)
+        yield graphs, key
 
 
 def _max_room(meets: list[int], lb: int) -> list[int]:

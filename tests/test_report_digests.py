@@ -55,6 +55,22 @@ DIGESTS = [
      "19eb4d80ee54075a586ff3813702b8d413eb858653200d2a9f31611ab3c39ce5"),
     ("graph-avoidance", "all-graphs:n=5", {}, 1,
      "351c281bc29fbc6a71574136fed10e3fd23705d1574933aded73516a87b42386"),
+    # the benchmark's kernels pass: both shadow claims on the (6,3) level and
+    # graph-avoidance on all-graphs(n) for n = 2..7 (n = 5 just above)
+    ("shadow-colex-lower", "all-families:n=6,k=3", {}, 1,
+     "65344ad7044fb3996901cb3a489f5ba5de878a456df841a8f1e814f1f9ec21a1"),
+    ("shadow-real-lower", "all-families:n=6,k=3", {}, 1,
+     "8c15f4ea3d17cf3ebbe211e2c0a58e045904c39a25b02cacb93dc1c96a761fd9"),
+    ("graph-avoidance", "all-graphs:n=2", {}, 1,
+     "37ec5646c865ca4e1682ebd4fa313fdc6babeec6dab0374486562cf2349389ab"),
+    ("graph-avoidance", "all-graphs:n=3", {}, 1,
+     "72cd9fef13f21fe1a7720017b27c7100512414bd634d97882d558cf7bdaa9243"),
+    ("graph-avoidance", "all-graphs:n=4", {}, 1,
+     "deb36ec78b5ae55a8c72da770df5022f79bc95f1dc83314803ce06ed637047a5"),
+    ("graph-avoidance", "all-graphs:n=6", {}, 1,
+     "d49cdd681332672eb78667335b8ae141b29ec0e4bcfa8c87f9841de5c8e2353c"),
+    ("graph-avoidance", "all-graphs:n=7", {}, 1,
+     "4d64d0c7275ccc98865eab5062a63b1653e38ebf58d0ccdc6313f293282aeaf8"),
     ("rwise-diversity", "all-shifted-families:n=6,k=4", {"r": 2, "t": 2}, 1,
      "0af7e7540312a6634efc1a4f14797d80b1d25715ee67a35f05063720edd42c25"),
     ("rwise-diversity", "random-sample:count=200,k=2,n=5,seed=1", {"r": 2, "t": 1}, 1,

@@ -157,19 +157,26 @@ def test_all_up_sets_dedekind_count():
 
 
 def test_budget_stops_down_set_spaces_early():
-    # M(7) is about 2.4e12 up-sets and the (9,4) level has 683,464 shifted
-    # families; the budget must stop both as they stream
-    with pytest.raises(BudgetExceeded):
+    # M(7) is about 2.4e12 up-sets: at budget 10 its floor 2^35 refuses it
+    # before any table is built.  The 168 up-sets of n = 4 (floor 2^6) and
+    # the 683,464 shifted families of the (9,4) level pass their floors, so
+    # the budget must stop both as they stream.
+    with pytest.raises(BudgetExceeded, match="holds at least 2\\^35 instances"):
         verify("t-intersecting-max", "all-up-sets:n=7", params={"t": 2}, budget=10)
-    message = "all-shifted-families:k=4,n=9 exceeded the budget of 1000 instances"
-    with pytest.raises(BudgetExceeded) as stop:
-        verify("shifted-structure", "all-shifted-families:n=9,k=4", budget=1000)
-    assert str(stop.value) == message
-    streamed = 0
-    with pytest.raises(BudgetExceeded) as stop:
-        for _ in iter_space(InstanceSpace.parse("all-shifted-families:n=9,k=4"), budget=1000):
-            streamed += 1
-    assert streamed == 1000 and str(stop.value) == message
+    for claim, params, text, budget in (
+        ("t-intersecting-max", {"t": 2}, "all-up-sets:n=4", 100),
+        ("shifted-structure", None, "all-shifted-families:n=9,k=4", 1000),
+    ):
+        space = InstanceSpace.parse(text)
+        message = f"{space.describe()} exceeded the budget of {budget} instances"
+        with pytest.raises(BudgetExceeded) as stop:
+            verify(claim, space, params=params, budget=budget)
+        assert str(stop.value) == message
+        streamed = 0
+        with pytest.raises(BudgetExceeded) as stop:
+            for _ in iter_space(space, budget=budget):
+                streamed += 1
+        assert streamed == budget and str(stop.value) == message
 
 
 def test_closure_spaces_stream_through_one_walk(monkeypatch):
@@ -625,7 +632,7 @@ def _graph_scans(n: int) -> tuple[dict, dict]:
     return kernel, generic
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(7))
 def test_graph_kernel_matches_generic_scan(n):
     kernel, generic = _graph_scans(n)
     assert kernel == generic
@@ -642,11 +649,22 @@ def test_graph_kernel_features_match_the_check(monkeypatch):
         return "violation", f"{s},{avoided},{cover},{complete}"
 
     monkeypatch.setattr(claims, "_graph_verdict", spell)
-    for n in range(2, 6):
-        kernel, generic = _graph_scans(n)
-        assert kernel["violations"] == generic["violations"] == kernel["checked"]
-        assert len(kernel["counterexamples"]) == min(768, kernel["checked"])
-        assert kernel["counterexamples"] == generic["counterexamples"]
+    # At the kernel's block size and at a small one: 4 edge masks a block up
+    # to n = 5, where the first blocks of n >= 4 hold no graph covering [n],
+    # and 2^10 at n = 6, where the MAX_RECORDED cut falls inside a block.
+    default = verifier.KERNEL_BLOCK
+    for n in range(2, 7):
+        space = InstanceSpace.make("all-graphs", n=n)
+        check = CLAIMS["graph-avoidance"].prepare(space, {})
+        generic = verifier._scan(CLAIMS["graph-avoidance"], check, space, {}, 1, None)
+        assert generic["violations"] == generic["checked"]
+        assert len(generic["counterexamples"]) == min(verifier.MAX_RECORDED, generic["checked"])
+        for block in (default, 4 if n < 6 else 1 << 10):
+            monkeypatch.setattr(verifier, "KERNEL_BLOCK", block)
+            assert verifier._graph_kernel(check, space, {}, None) == generic
+    monkeypatch.setattr(verifier, "KERNEL_BLOCK", 4)
+    blocks = [len(graphs) for graphs, _ in verifier._graph_keys(5, level_words(5, 2))]
+    assert len(blocks) == 1 << 8 and 0 in blocks and sum(blocks) == 768
 
 
 @pytest.mark.parametrize("mode", ["colex", "real"])
@@ -662,10 +680,32 @@ def test_shadow_kernel_violations_match_the_check(monkeypatch, mode):
     space = InstanceSpace.make("all-families", n=5, k=2)
     spec = CLAIMS[f"shadow-{mode}-lower"]
     check = spec.prepare(space, {})
+    generic = verifier._scan(spec, check, space, {}, 1, None)
+    # at the kernel's block size, and at one high row of 32 masks a block,
+    # where the MAX_RECORDED cut falls inside the last block
+    for block in (verifier.KERNEL_BLOCK, 4):
+        monkeypatch.setattr(verifier, "KERNEL_BLOCK", block)
+        kernel = verifier._shadow_kernel(check, space, mode)
+        assert kernel == generic
+        assert kernel["violations"] == {"colex": 1024, "real": 1023}[mode]
+        assert len(kernel["counterexamples"]) == verifier.MAX_RECORDED
+
+
+@pytest.mark.parametrize("mode", ["colex", "real"])
+@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (4, 0), (4, 2), (5, 2), (6, 2), (12, 11)])
+def test_shadow_kernel_matches_the_scan_across_blocks(monkeypatch, mode, n, k):
+    # A few masks a block cuts every level into blocks of one high row.
+    # The (6,2) colex scan meets 3,423 equalities, so the MAX_RECORDED cut
+    # falls inside a block; the (12,11) shadow level has C(12,10) = 66
+    # words, more than one uint64 limb.
+    monkeypatch.setattr(verifier, "KERNEL_BLOCK", 4)
+    space = InstanceSpace.make("all-families", n=n, k=k)
+    spec = CLAIMS[f"shadow-{mode}-lower"]
+    check = spec.prepare(space, {})
     kernel = verifier._shadow_kernel(check, space, mode)
     assert kernel == verifier._scan(spec, check, space, {}, 1, None)
-    assert kernel["violations"] == {"colex": 1024, "real": 1023}[mode]
-    assert len(kernel["counterexamples"]) == verifier.MAX_RECORDED
+    if (mode, n, k) == ("colex", 6, 2):
+        assert kernel["equalities"] == 3423
 
 
 def test_rwise_diversity_exploratory_flag():
@@ -1024,6 +1064,34 @@ def test_filter_masks_are_exact_on_small_levels(n, k):
                 if total <= 64 or lo == 0 or hi == total or hi - lo <= 16:
                     at = bisect.bisect_left
                     assert list(keep.masks(lo, hi)) == kept[at(kept, lo):at(kept, hi)], (lo, hi)
+
+
+class _CountingBound(int):
+    """An int that counts the comparisons made with it."""
+
+    calls = 0
+
+    def __le__(self, other):
+        _CountingBound.calls += 1
+        return int(self) <= other
+
+    def __ge__(self, other):
+        _CountingBound.calls += 1
+        return int(self) >= other
+
+
+def test_closure_walk_drops_prefixes_below_its_range(monkeypatch):
+    # The walk drops a stacked prefix that ends at or below lo, so the top
+    # 2^12 masks of the (6,3) level cost 130 comparisons with lo.  A walk
+    # that went on through every kept mask below lo would compare each of
+    # the level's 59,049 kept masks with lo.
+    monkeypatch.setattr(_CountingBound, "calls", 0)
+    keep = spaces._intersecting_filter(6, 3)
+    total = 1 << 20
+    lo = total - (1 << 12)
+    kept = list(keep.masks(0, total))
+    assert list(keep.masks(_CountingBound(lo), total)) == kept[bisect.bisect_left(kept, lo):]
+    assert _CountingBound.calls < 1000
 
 
 def test_filtered_level_scans_enumerate_instead_of_testing_masks(monkeypatch):
