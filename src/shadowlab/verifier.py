@@ -145,9 +145,9 @@ def _instance_from_payload(payload):
 
 
 def _split_table(member_masks: list[int], limbs: int):
-    """Row-major table of the OR of member_masks[i] over the bits i of each
-    mask of len(member_masks) bits: shape (limbs, 2^len), uint64 limbs,
-    least significant first."""
+    """The OR of member_masks[i] over the bits i of each mask of
+    len(member_masks) bits, as a (limbs, 2^len) array of uint64 limbs, the
+    least significant limb first."""
     import numpy as np
 
     tab = np.zeros((limbs, 1 << len(member_masks)), dtype=np.uint64)
