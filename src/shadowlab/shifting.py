@@ -5,18 +5,21 @@ fixed-point iteration to a shifted family, colex compression and the
 paired lex shift of cross-intersecting pairs, each with its certificates.
 Every compression produces a replayable trace.
 
-One step rule serves every shift: `_daykin_pairs` returns the (old, new)
-word pairs a U<-V shift moves.  The Family-level shifts build their result
-from those pairs, and the step certificates read them: the element sum of
-`shift_to_shifted`, and the colex-rank sum and immediate-shadow counts that
-the colex walk `_colex_walk` carries between steps instead of a Family.  It
-and the paired lex walk `_cross_lex_walk` are step generators that key each
-state by an int and raise InvariantViolation where a certificate fails.
+One step rule serves every shift on a Family: `_daykin_pairs` returns the
+(old, new) word pairs a U<-V shift moves, the Family-level shifts build
+their result from those pairs, and the element-sum certificate of
+`shift_to_shifted` reads them.  The colex walk `_colex_walk` carries no
+Family: its state is a level-index mask, and each step reads the level's
+offset table (`_LevelSteps`), the words the step moves grouped by how far
+their colex index moves, so that the step, its colex-rank change and the
+violation search are int operations on the mask.  It and the paired lex
+walk `_cross_lex_walk` are step generators that key each state by an int
+and raise InvariantViolation where a certificate fails.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+import functools
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -208,6 +211,67 @@ def daykin_shift(fam: Family, u: int, v: int) -> Family:
     return _daykin_words(fam, u, v)[0]
 
 
+class _LevelSteps:
+    """The U<-V step tables of the k-level of [n]: one object per level,
+    with a table per step, built the first time a step needs it.
+
+    A step's table groups the words it moves by colex-index offset: pairs
+    (d, H_d), H_d the level-index mask of the words i that hold V and miss
+    U and whose image, V replaced by U, is word i + d.  A step on a mask is
+    then a handful of int operations per offset.  `singles` lists the
+    single-element steps {x}<-{y}, x < y, in the violation search's order:
+    y increasing, then x increasing, and `single_tables` their tables, each
+    None until the search first reaches it.  Their images are colex-smaller,
+    so every offset in their tables is negative.
+    """
+
+    __slots__ = ("words", "index", "shadows", "singles", "single_tables", "_tables")
+
+    def __init__(self, n: int, k: int):
+        table = level(n, k)
+        self.words, self.index, self.shadows = table.words, table.index, table.shadows
+        self.singles = tuple((1 << x, 1 << y) for y in range(1, n) for x in range(y))
+        self.single_tables: list[tuple[tuple[int, int], ...] | None] = [None] * len(self.singles)
+        self._tables: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def table(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
+        """The (d, H_d) groups of the U<-V step."""
+        groups = self._tables.get((u, v))
+        if groups is None:
+            uv, index = u | v, self.index
+            by_offset: dict[int, int] = {}
+            for i, w in enumerate(self.words):
+                if w & uv == v:
+                    d = index[w ^ uv] - i
+                    by_offset[d] = by_offset.get(d, 0) | 1 << i
+            groups = self._tables[u, v] = tuple(by_offset.items())
+        return groups
+
+    def move(self, mask: int, u: int, v: int) -> tuple[int, int, int]:
+        """The U<-V step on a level-index mask: the masks of the members it
+        moves and of their images, and the sum of the moves' index offsets.
+        An image moves in when `mask` lacks it, as in `_daykin_pairs`."""
+        sources = images = delta = 0
+        for d, h in self.table(u, v):
+            s = mask & h
+            if s:
+                if d > 0:
+                    g = s << d & ~mask
+                    sources |= g >> d
+                else:
+                    g = s >> -d & ~mask
+                    sources |= g << -d
+                images |= g
+                delta += d * g.bit_count()
+        return sources, images, delta
+
+
+@functools.lru_cache(maxsize=64)
+def _level_steps(n: int, k: int) -> _LevelSteps:
+    """The cached step tables of the k-level of [n]."""
+    return _LevelSteps(n, k)
+
+
 def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     """An inclusion-minimal (U, V) whose U<-V shift moves the family colex-down.
 
@@ -216,122 +280,120 @@ def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     of V, then colex rank of U.  Every violating pair arises as
     (G - F, F - G) for a member F and an absent G < F.
 
-    The least |U| is 1 unless the family is shifted, so single elements
-    are tried first: V = {y} by increasing y, then U = {x} by increasing
-    x < y, until the x<-y shift moves a member.  Only when none does is
-    the scan run over the (F, G) couples.
+    The search runs on the family's level-index mask (`_mask_violation`),
+    as the colex walk does.
     """
     if fam.k is None:
         raise ValueError("colex violation search needs a uniform family")
-    present = fam.member_set()
-    if not present:
-        return None
-    members = fam.members
-    for y in range(1, fam.n):
-        v = 1 << y
-        holders = [f for f in members if f & v]
-        for x in range(y):
-            uv = v | 1 << x
-            for f in holders:
-                if f & uv == v and f ^ uv not in present:
-                    return uv ^ v, v
-    top_member = members[-1]
+    steps = _level_steps(fam.n, fam.k)
+    index = steps.index
+    return _mask_violation(steps, sum(1 << index[w] for w in fam.members))
+
+
+def _mask_violation(steps: _LevelSteps, mask: int) -> tuple[int, int] | None:
+    """`find_colex_violation` on a level-index mask of `steps`' level.
+
+    The least |U| is 1 unless the family is shifted, so single elements
+    are tried first, in the order of `steps.singles`: the first {x}<-{y}
+    step with a free image is the answer, found as a nonzero
+    (mask & H_d) >> -d & ~mask.  Only when none has one is the scan run
+    over the (F, G) couples, on the member words decoded from the mask.
+    """
+    if not mask & (mask + 1):
+        return None  # the lowest |F| bits: a colex segment, the empty one included
+    tables = steps.single_tables
+    for j, groups in enumerate(tables):
+        if groups is None:
+            groups = tables[j] = steps.table(*steps.singles[j])
+        for d, h in groups:
+            s = mask & h
+            if s and s >> -d & ~mask:
+                return steps.singles[j]
+    words = steps.words
+    members = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        members.append(words[low.bit_length() - 1])
+        rest ^= low
     # The key's |U| is k - |F & G|, so the least |U| is the most shared.
     most_shared = -1
     best_v = best_u = 0
-    for g in level_words(fam.n, fam.k):
-        if g >= top_member:
-            break
-        if g in present:
-            continue
-        for f in members[bisect_right(members, g):]:
+    absent = ~mask & (1 << mask.bit_length() - 1) - 1  # absent below the top member
+    while absent:
+        low = absent & -absent
+        absent ^= low
+        g = words[low.bit_length() - 1]
+        for f in members[(mask & low - 1).bit_count():]:
             shared = (f & g).bit_count()
             if shared < most_shared:
                 continue
             v = f & ~g
             if shared > most_shared or v < best_v or (v == best_v and g & ~f < best_u):
                 most_shared, best_v, best_u = shared, v, g & ~f
-    if most_shared < 0:
-        return None
     return best_u, best_v
-
-
-class _Carried:
-    """The member state a compression carries between steps: the sorted
-    member list and the set of present words.  It shows the violation search
-    the part of a Family that the search reads."""
-
-    __slots__ = ("n", "k", "members", "present")
-
-    def __init__(self, fam: Family):
-        self.n, self.k = fam.n, fam.k
-        self.members = list(fam.members)
-        self.present = set(fam.members)
-
-    def member_set(self) -> set[int]:
-        return self.present
 
 
 def _colex_walk(fam: Family):
     """Colex compression of `fam`, one state at a time: the one step loop
     behind `compress_to_colex` and the compression claim's check.
 
-    A state is keyed by its level-index mask, bit i set when the i-th word
-    of the colex-ordered level is a member.  The walk yields (mask, None)
-    for the input before it builds anything else, then (mask, step) after
-    each certified step; a caller may stop at any yield.  A step that fails
-    a certificate raises InvariantViolation, and so does a fixed point
-    whose mask is not the colex segment of the family's size, its |F|
-    lowest bits.
+    A state is its level-index mask, bit i set when the i-th word of the
+    colex-ordered level is a member.  The walk yields (mask, None) for the
+    input before it builds anything else, then (mask, step) after each
+    certified step; a caller may stop at any yield.  A step that fails a
+    certificate raises InvariantViolation, and so does a fixed point whose
+    mask is not the colex segment of the family's size, its |F| lowest bits.
 
-    Between steps the walk carries its members (a sorted list and a present
-    set), the mask (two XORs per moved pair) and one count per (k-1)-set of
-    how many members contain it, with the number of nonzero counts: the
-    immediate shadow size.  A step touches only the (old, new) word pairs
-    it moves, and is certified from them and the cached level table:
+    Between steps the walk carries only the mask and one count per
+    (k-1)-set of how many members contain it, with the number of nonzero
+    counts: the immediate shadow size.  Each step is chosen by the search
+    `_mask_violation`, looked up as this module's global when it runs, and
+    applied through the level's offset table (`_LevelSteps.move`), which
+    gives the masks of the moved members and of their images and the
+    colex-index change.  The step is certified from them:
 
-    - size: every image is free and the present set keeps its size;
-    - shadow: the new words' shadow counts go up and the old words' go
-      down, the size changing as a count leaves or reaches 0; it must
-      not grow;
-    - rank: the colex indices of the new words minus those of the old
-      words must sum below 0, so the colex-rank sum strictly drops.
+    - size: the new mask keeps the family's size;
+    - shadow: the counts go up at the images' shadows and down at the
+      moved members', the size changing as a count leaves or reaches 0;
+      it must not grow;
+    - rank: the colex indices of the images minus those of the moved
+      members must sum below 0, so the colex-rank sum strictly drops.
     """
     if fam.k is None:
         raise ValueError("colex compression needs a uniform family")
-    table = level(fam.n, fam.k)
-    index, shadows = table.index, table.shadows
+    steps = _level_steps(fam.n, fam.k)
+    index, shadows = steps.index, steps.shadows
     mask = sum(1 << index[w] for w in fam.members)
     yield mask, None
-    state = _Carried(fam)
-    members, present = state.members, state.present
-    size = len(present)
+    size = len(fam)
     counts = [0] * len(level_words(fam.n, fam.k - 1))
-    for w in members:
+    for w in fam.members:
         for s in shadows[index[w]]:
             counts[s] += 1
     shadow_size = len(counts) - counts.count(0)
-    while (hit := find_colex_violation(state)) is not None:
+    while (hit := _mask_violation(steps, mask)) is not None:
         u, v = hit
-        pairs = _daykin_pairs(members, present, u, v)
-        grown, delta = shadow_size, 0
-        for old, new in pairs:
-            present.discard(old)
-            present.add(new)
-            del members[bisect_left(members, old)]
-            insort(members, new)
-            i, j = index[new], index[old]
-            delta += i - j
-            mask ^= (1 << i) ^ (1 << j)
-            for s in shadows[i]:
+        sources, images, delta = steps.move(mask, u, v)
+        grown = shadow_size
+        rest = images
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for s in shadows[low.bit_length() - 1]:
                 if not counts[s]:
                     grown += 1
                 counts[s] += 1
-            for s in shadows[j]:
+        rest = sources
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for s in shadows[low.bit_length() - 1]:
                 counts[s] -= 1
                 if not counts[s]:
                     grown -= 1
-        if len(present) != size:
+        mask ^= sources | images
+        if mask.bit_count() != size:
             raise InvariantViolation("shift changed the family size")
         if grown > shadow_size:
             raise InvariantViolation(
@@ -341,7 +403,7 @@ def _colex_walk(fam: Family):
         if delta >= 0:
             raise InvariantViolation("colex-rank potential did not drop")
         shadow_size = grown
-        yield mask, ShiftStep("daykin", u=u, v=v, moved=len(pairs))
+        yield mask, ShiftStep("daykin", u=u, v=v, moved=images.bit_count())
     if mask != (1 << size) - 1:
         raise InvariantViolation("compression fixed point is not the colex segment")
 

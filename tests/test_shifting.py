@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -410,10 +411,48 @@ def test_violation_search_on_shifted_families():
     # the scan over couples; every shifted family of these levels is tried
     from shadowlab.spaces import InstanceSpace, iter_space
 
-    for n, k in ((5, 2), (6, 3), (7, 2), (7, 4)):
+    for n, k in ((5, 2), (6, 3), (7, 2), (7, 3), (7, 4)):
         shifted = iter_space(InstanceSpace.make("all-shifted-families", n=n, k=k))
         for f in shifted:
             assert find_colex_violation(f) == _reference_violation(f)
+
+
+def test_violation_search_on_whole_levels():
+    for n, k in ((5, 2), (6, 2)):
+        for mask in range(1 << comb(n, k)):
+            f = Family(n, [x for i, x in enumerate(level_words(n, k)) if mask >> i & 1], k=k)
+            assert find_colex_violation(f) == _reference_violation(f), (n, k, mask)
+
+
+def _reference_trail(f):
+    """The (mask, step) trail of `_reference_compress`'s walk on Families,
+    each state keyed by the level-index mask of its members."""
+    index = level(f.n, f.k).index
+
+    def mask_of(g):
+        return sum(1 << index[x] for x in g.members)
+
+    trail = [(mask_of(f), None)]
+    while (hit := _reference_violation(f)) is not None:
+        nxt = daykin_shift(f, *hit)
+        moved = len(nxt.member_set() - f.member_set())
+        trail.append((mask_of(nxt), ShiftStep("daykin", u=hit[0], v=hit[1], moved=moved)))
+        f = nxt
+    return trail
+
+
+@pytest.mark.parametrize("n, k, count, most", [
+    (7, 3, 300, 35),
+    (8, 4, 80, 70),
+    # a single (x, y) step of this level spans up to 85 colex offsets
+    (12, 5, 8, 40),
+])
+def test_mask_walk_trail_matches_family_walk(n, k, count, most):
+    rng = random.Random(n * 100 + k)
+    words = level_words(n, k)
+    for _ in range(count):
+        f = Family(n, rng.sample(words, rng.randint(1, most)), k=k)
+        assert list(shifting._colex_walk(f)) == _reference_trail(f)
 
 
 def test_compress_reads_no_shadow_or_colex_rank(monkeypatch):
@@ -432,9 +471,9 @@ def test_compress_reads_no_shadow_or_colex_rank(monkeypatch):
 
 
 def _force_steps(monkeypatch, *hits):
-    """Make the violation search answer `hits` in turn, then None."""
+    """Make the walk's violation search answer `hits` in turn, then None."""
     answers = iter(hits)
-    monkeypatch.setattr(shifting, "find_colex_violation", lambda f: next(answers, None))
+    monkeypatch.setattr(shifting, "_mask_violation", lambda steps, mask: next(answers, None))
 
 
 def test_compress_certificates_raise(monkeypatch):
@@ -453,23 +492,24 @@ def test_compress_certificates_raise(monkeypatch):
 
 
 def test_compress_builds_one_family_and_searches_once_per_step(monkeypatch):
-    # the compression carries member words between steps: the only Family
-    # it builds is its result, and every search goes through the module name
+    # the compression carries a level-index mask between steps: the only
+    # Family it builds is its result, and every search goes through the
+    # module name of the mask search
     f = Family(6, level_words(6, 3)[-6:])
     builds, searches = [], []
     init = families.Family.__init__
-    search = shifting.find_colex_violation
+    search = shifting._mask_violation
 
     def counting_init(self, *args, **kwargs):
         builds.append(1)
         init(self, *args, **kwargs)
 
-    def counting_search(x):
+    def counting_search(steps, mask):
         searches.append(1)
-        return search(x)
+        return search(steps, mask)
 
     monkeypatch.setattr(families.Family, "__init__", counting_init)
-    monkeypatch.setattr(shifting, "find_colex_violation", counting_search)
+    monkeypatch.setattr(shifting, "_mask_violation", counting_search)
     out, tr = compress_to_colex(f)
     assert len(tr) >= 10
     assert len(builds) <= 2

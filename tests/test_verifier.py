@@ -546,20 +546,21 @@ def test_failed_compression_certifies_no_state(monkeypatch):
     # a step planted to fail one move before the colex segment, at every
     # even family size: each family whose walk passes such a state must
     # fail, not only the first to reach it, while odd sizes certify states
-    real = shifting.find_colex_violation
+    real = shifting._mask_violation
 
-    def planted(state):
-        hit = real(state)
+    def planted(steps, mask):
+        hit = real(steps, mask)
         if hit is not None:
             uv, v = hit[0] | hit[1], hit[1]
-            present = state.member_set()
+            words = steps.words
+            present = {words[i] for i in range(len(words)) if mask >> i & 1}
             after = {w ^ uv if w & uv == v and w ^ uv not in present else w
-                     for w in state.members}
-            if len(after) % 2 == 0 and after == set(level_words(state.n, state.k)[:len(after)]):
+                     for w in present}
+            if len(after) % 2 == 0 and after == set(words[:len(after)]):
                 return 0, 0  # moves nothing, so the colex rank does not drop
         return hit
 
-    monkeypatch.setattr(shifting, "find_colex_violation", planted)
+    monkeypatch.setattr(shifting, "_mask_violation", planted)
     certified, uncertified = _compression_reports("all-families:n=5,k=2")
     assert 1 < certified.violations < certified.checked
     assert certified.canonical_json() == uncertified.canonical_json()
@@ -567,13 +568,13 @@ def test_failed_compression_certifies_no_state(monkeypatch):
 
 def test_compression_certified_states_live_for_one_verify(monkeypatch):
     calls = []
-    real = shifting.find_colex_violation
+    real = shifting._mask_violation
 
-    def counting(state):
+    def counting(steps, mask):
         calls.append(1)
-        return real(state)
+        return real(steps, mask)
 
-    monkeypatch.setattr(shifting, "find_colex_violation", counting)
+    monkeypatch.setattr(shifting, "_mask_violation", counting)
     # the 2^10 families are all the states of the level, and each is
     # searched once; full walks would search 5,243 times
     for _ in range(2):
@@ -1385,6 +1386,20 @@ def test_pair_kernels_load_no_numpy():
         "from shadowlab.verifier import verify\n"
         "verify('shifted-correlation', 'all-shifted-families:n=6,k=3')\n"
         "verify('cross-diversity-stability', 'all-cross-pairs:n=6,a=3,b=3')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_compression_walk_loads_no_numpy():
+    # numpy would lift the compress pass's set-up time and peak RSS
+    probe = (
+        "import sys\n"
+        "from shadowlab.verifier import verify\n"
+        "verify('compression-shadow-monotone', 'all-families:n=5,k=2')\n"
+        "verify('compression-shadow-monotone', 'random-sample:count=200,k=3,n=7,seed=7')\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
