@@ -9,14 +9,17 @@ witnesses.
 A space whose size is known up front and exceeds the budget is refused
 before its check is prepared, whatever the worker count.  The check is then
 prepared once and handed to the claim's fast kernel or to the one generic
-scan, which only tally it, keeping at most MAX_RECORDED counterexamples and
-witnesses.  With jobs >= 2 the scan splits the numbered spaces,
-all-families and random-sample, into index ranges checked in a process
-pool, each worker preparing its own check and building only its own
-instances; the reduction merges counterexample and witness lists in index
-order, so runs are reproducible regardless of the worker count.  Kernels
-and every other space run in one process.  A kernel reads its claim's
-verdict from ``claims`` when it runs, so it holds no bound of its own.
+scan.  Either one only states how many instances of each status it met and
+hands over the instances to record; one tally, ``_record``, counts them,
+keeps at most MAX_RECORDED counterexamples and witnesses and serializes
+them through ``_instance_payload``.  With jobs >= 2 the scan splits the
+numbered spaces, all-families and random-sample, into index ranges checked
+in a process pool, each worker preparing its own check and building only
+its own instances; the reduction merges counterexample and witness lists
+in index order under the same cut, so runs are reproducible regardless of
+the worker count.  Kernels and every other space run in one process.  A
+kernel reads its claim's verdict from ``claims`` when it runs, so it holds
+no bound of its own.
 """
 
 from __future__ import annotations
@@ -114,12 +117,15 @@ def _claim_spec(claim_id: str) -> ClaimSpec:
 
 
 def _instance_payload(inst) -> object:
+    """An instance's serialized form; a pair's sides may be texts already."""
     if isinstance(inst, Family):
         return inst.to_text()
     if isinstance(inst, tuple) and len(inst) == 2:
         first, second = inst
         if isinstance(first, Family) and isinstance(second, Family):
-            return {"A": first.to_text(), "B": second.to_text()}
+            first, second = first.to_text(), second.to_text()
+        if isinstance(first, str) and isinstance(second, str):
+            return {"A": first, "B": second}
         if isinstance(first, dict):
             return {
                 "params": first,
@@ -137,6 +143,40 @@ def _instance_from_payload(payload):
         fam = payload["family"]
         return payload["params"], (Family.from_text(fam) if fam else None)
     raise TypeError(f"cannot rebuild instance from {payload!r}")
+
+
+# ---------------------------------------------------------------------------
+# the tally
+# ---------------------------------------------------------------------------
+
+# The count and the list of each status that is recorded.
+_RECORDED = {"violation": ("violations", "counterexamples"),
+             "equality": ("equalities", "equality_witnesses")}
+
+
+def _tallies() -> dict:
+    """An empty tally: the Report fields that a kernel or a scan fills."""
+    return {"checked": 0, "skipped": 0, "violations": 0, "equalities": 0,
+            "counterexamples": [], "equality_witnesses": []}
+
+
+def _record(tallies: dict, status: str, count: int, recorded=()) -> None:
+    """Add `count` instances of one verdict status to the tallies: a skip as
+    skipped, any other as checked.  A violation or equality also records
+    (instance, detail) pairs from `recorded` while its list holds fewer than
+    MAX_RECORDED entries, so a generator handed over builds its instances
+    only then.  A witness drops its detail: witnesses come with None."""
+    tallies["skipped" if status == "skip" else "checked"] += count
+    if status not in _RECORDED or not count:
+        return
+    count_key, list_key = _RECORDED[status]
+    tallies[count_key] += count
+    kept = tallies[list_key]
+    room = MAX_RECORDED - len(kept)
+    if room > 0:
+        for inst, detail in itertools.islice(recorded, room):
+            payload = _instance_payload(inst)
+            kept.append(payload if status == "equality" else {"instance": payload, "detail": detail})
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +206,7 @@ def _shadow_kernel(check, space: InstanceSpace, mode: str) -> dict:
     in blocks of whole high rows, about KERNEL_BLOCK masks each, so the
     tables and one block are all the memory the scan holds.  The verdict
     per family size comes from the checkers' own _shadow_verdict, and
-    counterexample details from the check itself.
+    counterexample details from the check itself; witnesses get none.
     """
     import numpy as np
 
@@ -192,9 +232,12 @@ def _shadow_kernel(check, space: InstanceSpace, mode: str) -> dict:
     floor_rows, equal_rows = floors[sizes], equal_at[sizes]
     high_sizes = np.bitwise_count(np.arange(1 << (m_words - split), dtype=np.uint64))
 
-    violations = equalities = 0
-    counterexamples: list = []
-    witnesses: list = []
+    def families(hits, base: int):
+        # the flat index of a block entry, plus the block's first mask, is its mask
+        for mask in (np.flatnonzero(hits) + base).tolist():
+            yield _mask_family(n, k, words, mask)
+
+    tallies = _tallies()
     rows = max(1, KERNEL_BLOCK >> split)
     for start in range(0, 1 << (m_words - split), rows):
         high = high_tab[:, start:start + rows, None]
@@ -204,32 +247,22 @@ def _shadow_kernel(check, space: InstanceSpace, mode: str) -> dict:
         hs = high_sizes[start:start + rows]
         below = sh < floor_rows[hs]
         met = sh == equal_rows[hs]
-        violations += int(np.count_nonzero(below))
-        equalities += int(np.count_nonzero(met))
-        # the flat index of a block entry, plus the block's first mask, is its mask
-        if len(counterexamples) < MAX_RECORDED:
-            for mask in (np.flatnonzero(below)[:MAX_RECORDED - len(counterexamples)]
-                         + (start << split)).tolist():
-                fam = _mask_family(n, k, words, mask)
-                counterexamples.append({"instance": _instance_payload(fam), "detail": check(fam)[1]})
-        if len(witnesses) < MAX_RECORDED:
-            for mask in (np.flatnonzero(met)[:MAX_RECORDED - len(witnesses)]
-                         + (start << split)).tolist():
-                witnesses.append(_instance_payload(_mask_family(n, k, words, mask)))
-    return {
-        "checked": (1 << m_words) - skipped, "skipped": skipped,
-        "violations": violations, "equalities": equalities,
-        "counterexamples": counterexamples, "equality_witnesses": witnesses,
-    }
+        base = start << split
+        _record(tallies, "violation", int(np.count_nonzero(below)),
+                ((fam, check(fam)[1]) for fam in families(below, base)))
+        _record(tallies, "equality", int(np.count_nonzero(met)),
+                ((fam, None) for fam in families(met, base)))
+    _record(tallies, "skip", skipped)
+    _record(tallies, "ok", (1 << m_words) - tallies["skipped"] - tallies["checked"])
+    return tallies
 
 
 def _graph_kernel(check, space: InstanceSpace, params, budget) -> dict:
     """Vectorized scan of the graph-avoidance claim over all-graphs(n).
 
-    Statuses and details come from the checker's own _graph_verdict.  The
-    tallies are summed over the blocks of `_graph_keys`, and instances are
-    recorded in ascending edge-mask order; their payloads are built once the
-    scan's arrays are freed.
+    Statuses and details come from the checker's own _graph_verdict.  Each
+    block of `_graph_keys` is tallied by status in turn, so instances are
+    recorded in ascending edge-mask order.
     """
     import numpy as np
 
@@ -244,27 +277,18 @@ def _graph_kernel(check, space: InstanceSpace, params, budget) -> dict:
     ]
     codes = ("ok", "violation", "equality", "skip")
     table = np.array([codes.index(v[0]) for v in verdicts], dtype=np.int8)
-    tally = np.zeros(4, dtype=np.int64)
-    recorded: tuple[list, list] = ([], [])
+
+    def found(graphs, key, status, code: int):
+        at = np.flatnonzero(status == code)
+        for mask, index in zip(graphs[at].tolist(), key[at].tolist()):
+            yield _mask_family(n, 2, edges, mask), verdicts[index][1]
+
+    tallies = _tallies()
     for graphs, key in _graph_keys(n, edges):
         status = table[key]
-        tally += np.bincount(status, minlength=4)
-        for code, kept in zip((1, 2), recorded):
-            at = np.flatnonzero(status == code)[:MAX_RECORDED - len(kept)]
-            kept.extend(zip(graphs[at].tolist(), key[at].tolist()))
-    ok, violations, equalities, skipped = tally.tolist()
-    return {
-        "checked": ok + violations + equalities, "skipped": skipped,
-        "violations": violations, "equalities": equalities,
-        "counterexamples": [
-            {"instance": _instance_payload(_mask_family(n, 2, edges, mask)),
-             "detail": verdicts[at][1]}
-            for mask, at in recorded[0]
-        ],
-        "equality_witnesses": [
-            _instance_payload(_mask_family(n, 2, edges, mask)) for mask, _ in recorded[1]
-        ],
-    }
+        for code, count in enumerate(np.bincount(status, minlength=4).tolist()):
+            _record(tallies, codes[code], count, found(graphs, key, status, code))
+    return tallies
 
 
 def _graph_keys(n: int, edges):
@@ -345,11 +369,13 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
     its B-sides are the subsets of its room.  A-sides are walked size by
     size from their size threshold up, each size by an include-first DFS
     over the a-level's colex indices, which meets them in
-    itertools.combinations order.  The DFS carries the room down and drops
-    a prefix whose room is below the B threshold: room only shrinks as A
-    grows.  The walk stops before the first size whose Kruskal–Katona
-    largest room (`_max_room`) is below the B threshold; no A-side of that
-    size or a later one has room.
+    itertools.combinations order.  The A threshold, C(n-1,a-1) -
+    C(n-v-1,a-1) plus a cap, is at least 1 where the claim runs (a, b >= 2,
+    v >= 3), so every A-side walked has a member.  The DFS carries the room
+    down and drops a prefix whose room is below the B threshold: room only
+    shrinks as A grows.  The walk stops before the first size whose
+    Kruskal–Katona largest room (`_max_room`) is below the B threshold; no
+    A-side of that size or a later one has room.
 
     The pairs of a B size that fails the check's own `_stability_hypothesis`
     are counted as skipped without building them.  An A-side whose room
@@ -402,12 +428,6 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
             rooms = [(1 << lb) - 1] * (size_a + 1)
             slack, last = la - size_a, size_a - 1
             depth = nxt = 0
-            if size_a == 0:
-                held, skips = table[lb]
-                skipped += skips
-                if held:
-                    yield from pairs_of(combo, rooms[0], held)
-                continue
             while True:
                 if nxt <= slack + depth:
                     room = rooms[depth] & meet[nxt]
@@ -430,7 +450,7 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
                 nxt = combo[depth] + 1
 
     tallies = _check_stream(check, pairs())
-    tallies["skipped"] += skipped
+    _record(tallies, "skip", skipped)
     return tallies
 
 
@@ -442,8 +462,9 @@ def _correlation_pairs_kernel(check, space: InstanceSpace, params, budget) -> di
     one AND and a popcount.  The verdict depends on that size and the two
     family sizes alone, and comes from the check's own
     `_correlation_verdict`, once per distinct triple.  Pairs are tallied in
-    itertools.product order, and each family's text is built once, when a
-    recorded pair first needs it.
+    itertools.product order.  A recorded pair is handed over as the texts of
+    its two families, and each text is built once, when a recorded pair
+    first needs it.
     """
     fams = list(iter_space(space, budget))
     eff = _effective_budget(budget)
@@ -456,29 +477,17 @@ def _correlation_pairs_kernel(check, space: InstanceSpace, params, budget) -> di
     verdict = functools.cache(claims._correlation_verdict)
     text = functools.cache(lambda i: fams[i].to_text())
 
-    violations = equalities = 0
-    counterexamples: list = []
-    witnesses: list = []
+    def pair(i: int, j: int, detail):
+        yield (text(i), text(j)), detail
+
+    tallies = _tallies()
     for i, (m1, s1) in enumerate(sides):
         for j, (m2, s2) in enumerate(sides):
             status, detail = verdict((m1 & m2).bit_count(), s1, s2, total)
-            if status == "ok":
-                continue
-            if status == "violation":
-                violations += 1
-                if len(counterexamples) < MAX_RECORDED:
-                    counterexamples.append(
-                        {"instance": {"A": text(i), "B": text(j)}, "detail": detail}
-                    )
-            else:
-                equalities += 1
-                if len(witnesses) < MAX_RECORDED:
-                    witnesses.append({"A": text(i), "B": text(j)})
-    return {
-        "checked": len(sides) ** 2, "skipped": 0,
-        "violations": violations, "equalities": equalities,
-        "counterexamples": counterexamples, "equality_witnesses": witnesses,
-    }
+            if status != "ok":
+                _record(tallies, status, 1, pair(i, j, detail))
+    _record(tallies, "ok", len(sides) ** 2 - tallies["skipped"] - tallies["checked"])
+    return tallies
 
 
 # Each kernel is called as kernel(check, space, params, budget).  The shadow
@@ -560,38 +569,26 @@ def _scan(spec: ClaimSpec, check, space, params, jobs, budget) -> dict:
             for blk in blocks
         ]
         partials = [f.result() for f in futures]
-    merged = partials[0]
-    for part in partials[1:]:
-        for key in ("checked", "skipped", "violations", "equalities"):
-            merged[key] += part[key]
-        for key in ("counterexamples", "equality_witnesses"):
-            merged[key] = (merged[key] + part[key])[:MAX_RECORDED]
+    merged = _tallies()
+    for part in partials:
+        for key, value in part.items():
+            merged[key] += value  # counts add up, lists are extended
+    for _, list_key in _RECORDED.values():
+        del merged[list_key][MAX_RECORDED:]  # the first entries in range order, as _record keeps
     return merged
 
 
 def _check_stream(check, stream) -> dict:
-    """Tally the check's verdicts over a stream of instances, recording
-    counterexamples and equality witnesses while the lists have room."""
-    tallies = {
-        "checked": 0, "skipped": 0, "violations": 0, "equalities": 0,
-        "counterexamples": [], "equality_witnesses": [],
-    }
+    """Tally the check's verdicts over a stream of instances."""
+    tallies = _tallies()
+    ok = 0
     for inst in stream:
         status, detail = check(inst)
-        if status == "skip":
-            tallies["skipped"] += 1
-            continue
-        tallies["checked"] += 1
-        if status == "violation":
-            tallies["violations"] += 1
-            if len(tallies["counterexamples"]) < MAX_RECORDED:
-                tallies["counterexamples"].append(
-                    {"instance": _instance_payload(inst), "detail": detail}
-                )
-        elif status == "equality":
-            tallies["equalities"] += 1
-            if len(tallies["equality_witnesses"]) < MAX_RECORDED:
-                tallies["equality_witnesses"].append(_instance_payload(inst))
+        if status == "ok":
+            ok += 1
+        else:
+            _record(tallies, status, 1, [(inst, detail)])
+    _record(tallies, "ok", ok)
     return tallies
 
 
@@ -604,7 +601,7 @@ def _check_range(check, space: InstanceSpace, block) -> dict:
     lo, hi = block
     keep = getattr(check, "mask_filter", None)
     tallies = _check_stream(check, _iter_numbered(space, lo, hi, keep))
-    tallies["skipped"] = (hi - lo) - tallies["checked"]
+    _record(tallies, "skip", (hi - lo) - tallies["skipped"] - tallies["checked"])
     return tallies
 
 

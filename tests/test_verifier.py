@@ -3,6 +3,7 @@
 import bisect
 import concurrent.futures
 import functools
+import inspect
 import itertools
 import json
 import operator
@@ -869,9 +870,14 @@ def test_parallel_scan_matches_serial():
         ("compression-shadow-monotone", "random-sample:count=1001,k=3,n=6,seed=4"),
         # the intersecting mask filter, inside workers and on sampled masks
         ("rwise-diversity", "random-sample:count=1001,k=3,n=6,seed=4"),
+        # 1,395 equalities: the merge cuts the witness list at MAX_RECORDED
+        ("shadow-colex-lower", "random-sample:count=4000,k=2,n=5,seed=1"),
     ):
         assert (claim, space.partition(":")[0]) not in verifier.KERNELS
         serial = verify(claim, space, jobs=1)
+        if claim == "shadow-colex-lower":
+            assert serial.equalities == 1395
+            assert len(serial.equality_witnesses) == verifier.MAX_RECORDED
         assert serial.checked + serial.skipped == space_size(InstanceSpace.parse(space))
         for jobs in (2, 3):
             assert verify(claim, space, jobs=jobs).canonical_json() == serial.canonical_json()
@@ -1233,6 +1239,10 @@ def test_stability_thresholds_stay_within_the_levels():
                 for u, v in itertools.product(range(3, 9), repeat=2):
                     thr_a, thr_b, _, _ = claims._stability_thresholds(space, {"u": u, "v": v})
                     assert thr_a <= comb(n, a) and thr_b <= comb(n, b), (n, a, b, u, v)
+                    # where the claim runs, a, b >= 2, every A-side the kernel
+                    # walks has a member: C(n-1,a-1) > C(n-v-1,a-1), and so for B
+                    if a >= 2 and b >= 2:
+                        assert thr_a >= 1 and thr_b >= 1, (n, a, b, u, v)
 
 
 def test_cross_pair_claim_via_engine():
@@ -1358,6 +1368,22 @@ def _correlation_cases():
         check = CLAIMS["shifted-correlation"].prepare(space, {"_notes": {}})
         fams = list(iter_space(space))
         yield space, check, verifier._check_stream(check, itertools.product(fams, fams))
+
+
+def test_only_the_tally_reads_the_recording_cut():
+    # every kernel and the generic scan record through verifier._record;
+    # _scan's merge cuts the workers' serialized lists by the same rule
+    readers = {
+        name for name, fn in vars(verifier).items()
+        if inspect.isfunction(fn) and fn.__module__ == verifier.__name__
+        and "MAX_RECORDED" in inspect.getsource(fn)
+    }
+    assert readers == {"_record", "_scan"}
+    for fn in (verifier._check_stream, verifier._shadow_kernel, verifier._graph_kernel,
+               verifier._correlation_pairs_kernel, verifier._cross_stability_kernel):
+        source = inspect.getsource(fn)
+        for word in ("MAX_RECORDED", '"counterexamples"', '"equality_witnesses"'):
+            assert word not in source, (fn.__name__, word)
 
 
 def test_correlation_kernel_matches_the_check_on_every_pair():
