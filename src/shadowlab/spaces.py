@@ -3,9 +3,11 @@ construction-grid points a claim is checked on.
 
 A space is a kind and its parameters, parsed from and described as text
 such as ``all-families:k=3,n=6``.  Unknown kinds and parameters, non-integer
-values and a negative sample count are refused.  A budget bounds every
-stream: a space whose size is known up front is refused before it starts,
-any other is stopped as it streams.
+values and a negative sample count are refused.  One `Meter` owns the
+budget of a run: built, it refuses a space whose size, or a proven floor
+of it, is over the budget; then each unit of work ticks it (an instance
+streamed, a pair checked, a node of the stability walk) until the tick
+that passes the cap raises.
 
 The numbered spaces, all-families and random-sample, build instance i from
 i alone, so a scan can check any index range of them by itself.  On their
@@ -39,7 +41,7 @@ DEFAULT_BUDGET = 1 << 26
 
 
 class BudgetExceeded(RuntimeError):
-    """The instance space is larger than the configured budget."""
+    """A run's work passed its budget, or its space is refused up front."""
 
 
 # Each kind's required parameters, then the optional ones checked when
@@ -186,58 +188,57 @@ def _grid_points(space: InstanceSpace):
         yield dict(zip(names, combo))
 
 
-def iter_space(space: InstanceSpace, budget: int | None = None):
-    """Deterministic instance stream; raises BudgetExceeded past the budget."""
-    budget = _effective_budget(budget)
-    _refuse_over_budget(space, budget)
-    count = 0
+class Meter:
+    """A run's one budget.  `verify` builds it once and hands it down; each
+    unit of work ticks it (an instance streamed, a pair handed to a check, a
+    node of the stability walk), and the tick past the cap raises.  When
+    built, it refuses a space whose size or proven floor is over the cap, so
+    the numbered spaces tick nothing.  Powers of 2 are compared by their
+    exponents, never written out.  The floors: all-graphs from n = 4 on
+    holds 2^(C(n,2)-1) graphs, as at most n * 2^C(n-1,2) of all 2^C(n,2)
+    have an isolated vertex; each subfamily of the middle layer generates
+    its own up-set; and the empty family and each k-set's principal
+    down-set are C(n,k)+1 shifted families."""
+
+    def __init__(self, space: InstanceSpace, budget: int | None = None):
+        if budget is None:
+            budget = int(os.environ.get("SHADOWLAB_BUDGET") or DEFAULT_BUDGET)
+        self.name, self.cap, self.spent = space.describe(), budget, 0
+        bits = max(budget, 0).bit_length()
+        n = space.get("n")
+        if space.kind == "all-families":
+            exponent = comb(n, space.get("k"))
+            over, size = exponent >= bits, f"2^{exponent}"
+        elif space.kind == "all-graphs" and n >= 4 and comb(n, 2) - 1 >= bits:
+            over, size = True, f"at least 2^{comb(n, 2) - 1}"
+        elif space.kind == "all-up-sets":
+            over, size = comb(n, n // 2) >= bits, f"at least 2^{comb(n, n // 2)}"
+        elif space.kind == "all-shifted-families":
+            floor = comb(n, space.get("k")) + 1
+            over, size = floor > budget, f"at least {floor}"
+        else:
+            size = space_size(space)
+            over = size is not None and size > budget
+        if over:
+            raise BudgetExceeded(f"{self.name} holds {size} instances; budget {budget}")
+
+    @classmethod
+    def of(cls, space: InstanceSpace, budget: Meter | int | None) -> Meter:
+        """The meter handed down, or a new one built from a bare budget."""
+        return budget if isinstance(budget, Meter) else cls(space, budget)
+
+    def tick(self, count: int = 1) -> None:
+        self.spent += count
+        if self.spent > self.cap:
+            raise BudgetExceeded(f"{self.name} exceeded the budget of {self.cap} instances")
+
+
+def iter_space(space: InstanceSpace, budget: Meter | int | None = None):
+    """Deterministic instance stream, each instance a tick of the meter."""
+    tick = Meter.of(space, budget).tick
     for inst in _raw_iter(space):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(
-                f"{space.describe()} exceeded the budget of {budget} instances"
-            )
+        tick()
         yield inst
-
-
-def _effective_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("SHADOWLAB_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
-
-
-def _refuse_over_budget(space: InstanceSpace, budget: int | None) -> None:
-    """Refuse a space of known size, or of a proven lower bound, over the
-    budget.  All-families' size, 2^C(n,k), is compared and stated by its
-    exponent, never written out.  So is all-graphs' from n = 4 on, by the
-    lower bound 2^(C(n,2)-1): at most n * 2^C(n-1,2) of the 2^C(n,2) graphs
-    have an isolated vertex, and n / 2^(n-1) <= 1/2.  The exact count is
-    summed only when that bound does not already exceed the budget.
-
-    The down-set spaces are refused by a floor, before their tables are
-    built: each subfamily of the middle layer generates its own up-set, so
-    there are at least 2^C(n,n//2) up-sets, and the empty family and each
-    k-set's principal down-set are C(n,k)+1 shifted families.  Under its
-    floor such a space streams, and the budget stops it as it does."""
-    eff = _effective_budget(budget)
-    bits = max(eff, 0).bit_length()
-    n = space.get("n")
-    if space.kind == "all-families":
-        exponent = comb(n, space.get("k"))
-        over, size = exponent >= bits, f"2^{exponent}"
-    elif space.kind == "all-graphs" and n >= 4 and comb(n, 2) - 1 >= bits:
-        over, size = True, f"at least 2^{comb(n, 2) - 1}"
-    elif space.kind == "all-up-sets":
-        over, size = comb(n, n // 2) >= bits, f"at least 2^{comb(n, n // 2)}"
-    elif space.kind == "all-shifted-families":
-        floor = comb(n, space.get("k")) + 1
-        over, size = floor > eff, f"at least {floor}"
-    else:
-        size = space_size(space)
-        over = size is not None and size > eff
-    if over:
-        raise BudgetExceeded(f"{space.describe()} holds {size} instances; budget {eff}")
 
 
 def _raw_iter(space: InstanceSpace):

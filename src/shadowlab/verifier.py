@@ -6,7 +6,7 @@ are skipped, violations are recorded as counterexamples (re-verifiable from
 their serialized form), and instances meeting a bound with equality become
 witnesses.
 
-A space whose size is known up front and exceeds the budget is refused
+A space known to exceed the budget is refused by its meter (``spaces.Meter``)
 before its check is prepared, whatever the worker count.  The check is then
 prepared once and handed to the claim's fast kernel or to the one generic
 scan.  Either one only states how many instances of each status it met and
@@ -17,9 +17,9 @@ numbered spaces, all-families and random-sample, into index ranges checked
 in a process pool, each worker preparing its own check and building only
 its own instances; the reduction merges counterexample and witness lists
 in index order under the same cut, so runs are reproducible regardless of
-the worker count.  Kernels and every other space run in one process.  A
-kernel reads its claim's verdict from ``claims`` when it runs, so it holds
-no bound of its own.
+the worker count.  Kernels and every other space run in one process and
+tick the meter as they work.  A kernel reads its claim's verdict from
+``claims`` when it runs, so it holds no bound of its own.
 """
 
 from __future__ import annotations
@@ -38,15 +38,14 @@ from .families import Family
 from .orders import level, level_words
 from .spaces import (
     NUMBERED_KINDS,
-    BudgetExceeded,
+    BudgetExceeded,  # raised by the meter; callers catch it from here
     InstanceSpace,
+    Meter,
     _cross_meets,
-    _effective_budget,
     _iter_numbered,
     _label,
     _mask_family,
     _parse_label,
-    _refuse_over_budget,
     iter_space,
     space_size,
 )
@@ -257,7 +256,7 @@ def _shadow_kernel(check, space: InstanceSpace, mode: str) -> dict:
     return tallies
 
 
-def _graph_kernel(check, space: InstanceSpace, params, budget) -> dict:
+def _graph_kernel(check, space: InstanceSpace, params, meter) -> dict:
     """Vectorized scan of the graph-avoidance claim over all-graphs(n).
 
     Statuses and details come from the checker's own _graph_verdict.  Each
@@ -362,7 +361,7 @@ def _max_room(meets: list[int], lb: int) -> list[int]:
     return best
 
 
-def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict:
+def _cross_stability_kernel(check, space: InstanceSpace, params, meter) -> dict:
     """Room-pruned scan of the cross-pair stability claim.
 
     An A-side's room is the mask of the b-sets meeting every member, and
@@ -381,8 +380,8 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
     are counted as skipped without building them.  An A-side whose room
     holds no B size that passes it adds its skips from a per-size table and
     yields nothing; every other pair goes to the check.  Pruned pairs are not
-    counted.  The budget counts the C(la, size) A-sides of each size walked,
-    before its walk starts; a size cut by the bound is not counted.
+    counted.  The meter counts each node that extends a prefix, in batches
+    of about 4096, and each pair handed to the check, before it is built.
     """
     thr_a, thr_b, _, _ = claims._stability_thresholds(space, params)
     n, a, b = space.get("n"), space.get("a"), space.get("b")
@@ -392,7 +391,7 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
     notes = params["_notes"]
     notes["threshold_a"] = thr_a
     notes["threshold_b"] = thr_b
-    eff = _effective_budget(budget)
+    tick = Meter.of(space, meter).tick
     meet = _cross_meets(n, a, b)
     best = _max_room(meet, lb)
     skipped = 0
@@ -407,32 +406,30 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
         bbits = [jdx for jdx in range(lb) if room >> jdx & 1]
         fam_a = Family(n, (words_a[i] for i in combo), k=a)
         for size_b in held:
+            tick(comb(len(bbits), size_b))
             for bcombo in itertools.combinations(bbits, size_b):
                 yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
 
     def pairs():
         nonlocal skipped
-        enumerated = 0
         for size_a in range(thr_a, la + 1):
             if best[size_a] < thr_b:
                 break
-            enumerated += comb(la, size_a)
-            if enumerated > eff:
-                raise BudgetExceeded(f"cross-pair scan exceeded budget {eff}")
             table = [by_room(size_a, room) if room >= thr_b else None
                      for room in range(best[size_a] + 1)]
-            # combo[:depth] is the prefix, rooms[depth] its room, and nxt
-            # the next index tried at depth; an index taken at the last
-            # depth completes an A-side.
+            # combo[:depth] is the prefix, rooms[depth] its room, nxt the
+            # next index tried at depth, and nodes the nodes taken since the
+            # last tick; an index taken at the last depth completes an A-side.
             combo = [0] * size_a
             rooms = [(1 << lb) - 1] * (size_a + 1)
             slack, last = la - size_a, size_a - 1
-            depth = nxt = 0
+            depth = nxt = nodes = 0
             while True:
                 if nxt <= slack + depth:
                     room = rooms[depth] & meet[nxt]
                     count = room.bit_count()
                     if count >= thr_b:
+                        nodes += 1
                         combo[depth] = nxt
                         if depth < last:
                             depth += 1
@@ -444,8 +441,11 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
                                 yield from pairs_of(combo, room, held)
                     nxt += 1
                     continue
-                if depth == 0:
-                    break
+                if depth == 0 or nodes >= 4096:
+                    tick(nodes)
+                    nodes = 0
+                    if depth == 0:
+                        break
                 depth -= 1
                 nxt = combo[depth] + 1
 
@@ -454,22 +454,20 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, budget) -> dict
     return tallies
 
 
-def _correlation_pairs_kernel(check, space: InstanceSpace, params, budget) -> dict:
+def _correlation_pairs_kernel(check, space: InstanceSpace, params, meter) -> dict:
     """The correlation claim over every ordered pair of the space's families.
 
-    The budget bounds the families and then the pairs.  Each family is a
-    mask over its level's colex indices, so a pair's intersection size is
-    one AND and a popcount.  The verdict depends on that size and the two
-    family sizes alone, and comes from the check's own
-    `_correlation_verdict`, once per distinct triple.  Pairs are tallied in
-    itertools.product order.  A recorded pair is handed over as the texts of
-    its two families, and each text is built once, when a recorded pair
+    The meter counts each family, then each row of pairs before its tally.
+    Each family is a mask over its level's colex indices, so a pair's
+    intersection size is one AND and a popcount.  The verdict depends on
+    that size and the two family sizes alone, and comes from the check's
+    own `_correlation_verdict`, once per distinct triple.  Pairs are tallied
+    in itertools.product order.  A recorded pair is handed over as the texts
+    of its two families, and each text is built once, when a recorded pair
     first needs it.
     """
-    fams = list(iter_space(space, budget))
-    eff = _effective_budget(budget)
-    if len(fams) ** 2 > eff:
-        raise BudgetExceeded(f"{len(fams)}^2 ordered pairs exceed the budget of {eff}")
+    meter = Meter.of(space, meter)
+    fams = list(iter_space(space, meter))
     n, k = space.get("n"), space.get("k")
     index = level(n, k).index
     total = comb(n, k)
@@ -482,6 +480,7 @@ def _correlation_pairs_kernel(check, space: InstanceSpace, params, budget) -> di
 
     tallies = _tallies()
     for i, (m1, s1) in enumerate(sides):
+        meter.tick(len(sides))
         for j, (m2, s2) in enumerate(sides):
             status, detail = verdict((m1 & m2).bit_count(), s1, s2, total)
             if status != "ok":
@@ -490,16 +489,16 @@ def _correlation_pairs_kernel(check, space: InstanceSpace, params, budget) -> di
     return tallies
 
 
-# Each kernel is called as kernel(check, space, params, budget).  The shadow
+# Each kernel is called as kernel(check, space, params, meter).  The shadow
 # kernels look _shadow_kernel up when they run, so a wrapper put on
 # verifier._shadow_kernel (as the benchmark's tracer does) is the one run.
 KERNELS = {
     ("graph-avoidance", "all-graphs"): _graph_kernel,
     ("shifted-correlation", "all-shifted-families"): _correlation_pairs_kernel,
     ("shadow-colex-lower", "all-families"):
-        lambda check, space, params, budget: _shadow_kernel(check, space, "colex"),
+        lambda check, space, params, meter: _shadow_kernel(check, space, "colex"),
     ("shadow-real-lower", "all-families"):
-        lambda check, space, params, budget: _shadow_kernel(check, space, "real"),
+        lambda check, space, params, meter: _shadow_kernel(check, space, "real"),
     ("cross-diversity-stability", "all-cross-pairs"): _cross_stability_kernel,
 }
 
@@ -527,14 +526,14 @@ def verify(
     t0 = time.perf_counter()
     report = Report(_label(claim_id, checked), space.describe())
     merged = dict(checked, _notes=report.notes)
-    _refuse_over_budget(space, budget)
+    meter = Meter(space, budget)
     check = spec.prepare(space, merged)
 
     kernel = KERNELS.get((claim_id, space.kind))
     if kernel is not None:
-        tallies = kernel(check, space, merged, budget)
+        tallies = kernel(check, space, merged, meter)
     else:
-        tallies = _scan(spec, check, space, checked, jobs or 1, budget)
+        tallies = _scan(spec, check, space, checked, jobs or 1, meter)
     vars(report).update(tallies)  # counts and recorded lists, each a Report field
 
     if spec.exploratory is True:
@@ -547,14 +546,14 @@ def verify(
     return report
 
 
-def _scan(spec: ClaimSpec, check, space, params, jobs, budget) -> dict:
+def _scan(spec: ClaimSpec, check, space, params, jobs, meter) -> dict:
     """The generic scan.  A numbered space is split into at most `jobs`
     index ranges, checked through the check's mask filter if it has one:
     one range here, more in at most one worker process per CPU, merged in
     range order with the lists cut back to MAX_RECORDED.  Every other space
-    is one stream through iter_space."""
+    is one stream through iter_space, which ticks the meter."""
     if space.kind not in NUMBERED_KINDS:
-        return _check_stream(check, iter_space(space, budget))
+        return _check_stream(check, iter_space(space, meter))
     total = space_size(space)
     chunk = max(1, -(-total // jobs))
     blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]

@@ -131,12 +131,21 @@ def test_verify_budget_exit_three():
 
 def test_over_budget_space_exits_three_at_any_jobs():
     # the claim refuses a sample without k when its check is prepared; the
-    # budget refuses the space before that, whatever the worker count
-    for jobs in ("1", "2"):
-        out = run_cli(["verify", "--claim", "matching-diversity-max",
-                       "--space", "random-sample:n=5,count=100", "--budget", "10",
-                       "--jobs", jobs])
-        assert out.returncode == 3, (jobs, out.stderr)
+    # budget refuses the space before that.  A streamed space stops at its
+    # 1001st instance, and the (6,3,3) stability walk at its 352,715th node.
+    # Each stops whatever the worker count, with the same message.
+    for claim, space, budget in (
+        ("matching-diversity-max", "random-sample:n=5,count=100", "10"),
+        ("shifted-structure", "all-shifted-families:n=9,k=4", "1000"),
+        ("cross-diversity-stability", "all-cross-pairs:n=6,a=3,b=3", "352714"),
+    ):
+        errors = set()
+        for jobs in ("1", "2"):
+            out = run_cli(["verify", "--claim", claim, "--space", space,
+                           "--budget", budget, "--jobs", jobs])
+            assert out.returncode == 3, (space, jobs, out.stderr)
+            errors.add(out.stderr)
+        assert len(errors) == 1, errors
 
 
 def test_huge_all_families_refused_quickly():
@@ -368,9 +377,9 @@ def test_cross_stability_refuses_a_side_below_2_before_its_scan(capsys, a, b):
 
 
 @pytest.mark.parametrize("claim, space, budget", [
-    # at the A threshold 10, the C(20,10) = 184,756 A-sides exceed the budget
+    # the stability walk takes 352,715 nodes, far past the budget
     ("cross-diversity-stability", "all-cross-pairs:n=6,a=3,b=3", "100000"),
-    # 66 shifted (6,3) families make 66^2 ordered pairs
+    # 66 shifted (6,3) families and their 66^2 ordered pairs
     ("shifted-correlation", "all-shifted-families:n=6,k=3", "1000"),
 ])
 def test_pair_kernels_stop_at_the_budget(claim, space, budget):

@@ -1352,14 +1352,40 @@ def test_max_room_is_the_largest_room_of_each_size(nab):
         assert best[size] == max(rooms), (nab, size)
 
 
-def test_cross_stability_budget_counts_only_the_sizes_walked():
-    # at (6,3,3) the A size 10 has C(20,10) A-sides; size 11, where no
-    # A-side has room for the B threshold 10, is cut before it is counted
-    space = "all-cross-pairs:a=3,b=3,n=6"
-    rep = verify("cross-diversity-stability", space, budget=184_756)
-    assert (rep.checked, rep.skipped) == (0, 184_756)
-    with pytest.raises(BudgetExceeded):
-        verify("cross-diversity-stability", space, budget=184_755)
+@pytest.mark.parametrize("claim, space, work, tallies", [
+    # at (6,3,3) the stability walk takes 352,715 nodes that extend a prefix
+    # and hands no pair to the check: the C(20,10) A-sides of size 10 all
+    # sit at both thresholds, and size 11 is cut by the bound, unwalked
+    ("cross-diversity-stability", "all-cross-pairs:a=3,b=3,n=6", 352_715, (0, 184_756)),
+    # at (5,2,2) 237 nodes, then the 45 pairs it hands to the check
+    ("cross-diversity-stability", "all-cross-pairs:a=2,b=2,n=5", 237 + 45, (45, 150)),
+    # 66 shifted (6,3) families stream, then 66 rows of 66 ordered pairs
+    ("shifted-correlation", "all-shifted-families:k=3,n=6", 66 + 66 * 66, (4356, 0)),
+], ids=["stability", "stability-pairs", "correlation"])
+def test_pair_kernel_budget_boundaries(claim, space, work, tallies):
+    rep = verify(claim, space, budget=work)
+    assert (rep.checked, rep.skipped) == tallies
+    with pytest.raises(BudgetExceeded) as stop:
+        verify(claim, space, budget=work - 1)
+    assert str(stop.value) == f"{space} exceeded the budget of {work - 1} instances"
+
+
+def test_only_the_meter_holds_the_budget():
+    # verify builds one spaces.Meter and hands it down; the engine only
+    # ticks it, and in spaces the meter alone reads the cap and raises
+    for name, obj in vars(verifier).items():
+        if getattr(obj, "__module__", None) == verifier.__name__:
+            source = inspect.getsource(obj)
+            for word in ("_effective_budget", "_refuse_over_budget", "raise BudgetExceeded"):
+                assert word not in source, (name, word)
+    holders = {
+        name for name, obj in vars(spaces).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and getattr(obj, "__module__", None) == spaces.__name__
+        and any(word in inspect.getsource(obj)
+                for word in ("raise BudgetExceeded", "DEFAULT_BUDGET", "SHADOWLAB_BUDGET"))
+    }
+    assert holders == {"Meter"}
 
 
 def _correlation_cases():
