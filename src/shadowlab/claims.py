@@ -137,17 +137,6 @@ def _uniform(check):
 
 
 @functools.lru_cache(maxsize=None)
-def _colex_shadow_table(n: int, k: int) -> tuple[int, ...]:
-    """|immediate shadow| of the colex segment of each size in the k-level."""
-    seen: set[int] = set()
-    sizes = [0]
-    for sub in level(n, k).shadows:
-        seen.update(sub)
-        sizes.append(len(seen))
-    return tuple(sizes)
-
-
-@functools.lru_cache(maxsize=None)
 def _shadow_verdict(mode: str, n: int, k: int, size: int) -> tuple[int, bool] | None:
     """What a k-uniform family of `size` members over [n] must satisfy under
     the colex or real shadow bound: None when the claim skips it, else the
@@ -157,7 +146,7 @@ def _shadow_verdict(mode: str, n: int, k: int, size: int) -> tuple[int, bool] | 
     if k < 1 or (mode == "real" and size == 0):
         return None
     if mode == "colex":
-        return _colex_shadow_table(n, k)[size], True
+        return level(n, k).colex_shadow_sizes[size], True
     bound = kk_bound(size, k)
     floor = ceil(bound - 1e-9)
     return floor, abs(floor - bound) <= 1e-9

@@ -9,17 +9,16 @@ One step rule serves every shift on a Family: `_daykin_pairs` returns the
 (old, new) word pairs a U<-V shift moves, the Family-level shifts build
 their result from those pairs, and the element-sum certificate of
 `shift_to_shifted` reads them.  The colex walk `_colex_walk` carries no
-Family: its state is a level-index mask, and each step reads the level's
-offset table (`_LevelSteps`), the words the step moves grouped by how far
-their colex index moves, so that the step, its colex-rank change and the
-violation search are int operations on the mask.  It and the paired lex
+Family: its state is a level-index mask, and each step reads the step
+tables that `orders.Level` owns, the words the step moves grouped by how
+far their colex index moves, so that the step, its colex-rank change and
+the violation search are int operations on the mask.  It and the paired lex
 walk `_cross_lex_walk` are step generators that key each state by an int
 and raise InvariantViolation where a certificate fails.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,7 +31,7 @@ from .families import (
     set_repr,
     word_of,
 )
-from .orders import level, level_words, lex_segment
+from .orders import Level, level, level_words, lex_segment
 
 
 class ShiftStep(NamedTuple):
@@ -211,67 +210,6 @@ def daykin_shift(fam: Family, u: int, v: int) -> Family:
     return _daykin_words(fam, u, v)[0]
 
 
-class _LevelSteps:
-    """The U<-V step tables of the k-level of [n]: one object per level,
-    with a table per step, built the first time a step needs it.
-
-    A step's table groups the words it moves by colex-index offset: pairs
-    (d, H_d), H_d the level-index mask of the words i that hold V and miss
-    U and whose image, V replaced by U, is word i + d.  A step on a mask is
-    then a handful of int operations per offset.  `singles` lists the
-    single-element steps {x}<-{y}, x < y, in the violation search's order:
-    y increasing, then x increasing, and `single_tables` their tables, each
-    None until the search first reaches it.  Their images are colex-smaller,
-    so every offset in their tables is negative.
-    """
-
-    __slots__ = ("words", "index", "shadows", "singles", "single_tables", "_tables")
-
-    def __init__(self, n: int, k: int):
-        table = level(n, k)
-        self.words, self.index, self.shadows = table.words, table.index, table.shadows
-        self.singles = tuple((1 << x, 1 << y) for y in range(1, n) for x in range(y))
-        self.single_tables: list[tuple[tuple[int, int], ...] | None] = [None] * len(self.singles)
-        self._tables: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-
-    def table(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """The (d, H_d) groups of the U<-V step."""
-        groups = self._tables.get((u, v))
-        if groups is None:
-            uv, index = u | v, self.index
-            by_offset: dict[int, int] = {}
-            for i, w in enumerate(self.words):
-                if w & uv == v:
-                    d = index[w ^ uv] - i
-                    by_offset[d] = by_offset.get(d, 0) | 1 << i
-            groups = self._tables[u, v] = tuple(by_offset.items())
-        return groups
-
-    def move(self, mask: int, u: int, v: int) -> tuple[int, int, int]:
-        """The U<-V step on a level-index mask: the masks of the members it
-        moves and of their images, and the sum of the moves' index offsets.
-        An image moves in when `mask` lacks it, as in `_daykin_pairs`."""
-        sources = images = delta = 0
-        for d, h in self.table(u, v):
-            s = mask & h
-            if s:
-                if d > 0:
-                    g = s << d & ~mask
-                    sources |= g >> d
-                else:
-                    g = s >> -d & ~mask
-                    sources |= g << -d
-                images |= g
-                delta += d * g.bit_count()
-        return sources, images, delta
-
-
-@functools.lru_cache(maxsize=64)
-def _level_steps(n: int, k: int) -> _LevelSteps:
-    """The cached step tables of the k-level of [n]."""
-    return _LevelSteps(n, k)
-
-
 def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     """An inclusion-minimal (U, V) whose U<-V shift moves the family colex-down.
 
@@ -285,31 +223,30 @@ def find_colex_violation(fam: Family) -> tuple[int, int] | None:
     """
     if fam.k is None:
         raise ValueError("colex violation search needs a uniform family")
-    steps = _level_steps(fam.n, fam.k)
-    index = steps.index
-    return _mask_violation(steps, sum(1 << index[w] for w in fam.members))
+    lvl = level(fam.n, fam.k)
+    return _mask_violation(lvl, lvl.mask(fam.members))
 
 
-def _mask_violation(steps: _LevelSteps, mask: int) -> tuple[int, int] | None:
-    """`find_colex_violation` on a level-index mask of `steps`' level.
+def _mask_violation(lvl: Level, mask: int) -> tuple[int, int] | None:
+    """`find_colex_violation` on a level-index mask of the level `lvl`.
 
     The least |U| is 1 unless the family is shifted, so single elements
-    are tried first, in the order of `steps.singles`: the first {x}<-{y}
+    are tried first, in the order of `lvl.singles`: the first {x}<-{y}
     step with a free image is the answer, found as a nonzero
     (mask & H_d) >> -d & ~mask.  Only when none has one is the scan run
     over the (F, G) couples, on the member words decoded from the mask.
     """
     if not mask & (mask + 1):
         return None  # the lowest |F| bits: a colex segment, the empty one included
-    tables = steps.single_tables
+    tables = lvl.single_tables
     for j, groups in enumerate(tables):
         if groups is None:
-            groups = tables[j] = steps.table(*steps.singles[j])
+            groups = tables[j] = lvl.table(*lvl.singles[j])
         for d, h in groups:
             s = mask & h
             if s and s >> -d & ~mask:
-                return steps.singles[j]
-    words = steps.words
+                return lvl.singles[j]
+    words = lvl.words
     members = []
     rest = mask
     while rest:
@@ -349,7 +286,7 @@ def _colex_walk(fam: Family):
     (k-1)-set of how many members contain it, with the number of nonzero
     counts: the immediate shadow size.  Each step is chosen by the search
     `_mask_violation`, looked up as this module's global when it runs, and
-    applied through the level's offset table (`_LevelSteps.move`), which
+    applied through the level's offset table (`Level.move`), which
     gives the masks of the moved members and of their images and the
     colex-index change.  The step is certified from them:
 
@@ -362,9 +299,9 @@ def _colex_walk(fam: Family):
     """
     if fam.k is None:
         raise ValueError("colex compression needs a uniform family")
-    steps = _level_steps(fam.n, fam.k)
-    index, shadows = steps.index, steps.shadows
-    mask = sum(1 << index[w] for w in fam.members)
+    lvl = level(fam.n, fam.k)
+    index, shadows = lvl.index, lvl.shadows
+    mask = lvl.mask(fam.members)
     yield mask, None
     size = len(fam)
     counts = [0] * len(level_words(fam.n, fam.k - 1))
@@ -372,9 +309,9 @@ def _colex_walk(fam: Family):
         for s in shadows[index[w]]:
             counts[s] += 1
     shadow_size = len(counts) - counts.count(0)
-    while (hit := _mask_violation(steps, mask)) is not None:
+    while (hit := _mask_violation(lvl, mask)) is not None:
         u, v = hit
-        sources, images, delta = steps.move(mask, u, v)
+        sources, images, delta = lvl.move(mask, u, v)
         grown = shadow_size
         rest = images
         while rest:
@@ -417,11 +354,10 @@ def _cross_lex_walk(a: Family, b: Family):
     changes a size, or a fixed point that is not the pair of lex segments
     of the two sizes, raises InvariantViolation.
     """
-    index_a, index_b = level(a.n, a.k).index, level(b.n, b.k).index
-    sizes, width, step = (len(a), len(b)), len(index_a), None
+    level_a, level_b = level(a.n, a.k), level(b.n, b.k)
+    sizes, width, step = (len(a), len(b)), len(level_a.words), None
     while True:
-        yield (sum(1 << index_a[w] for w in a.members)
-               | sum(1 << index_b[w] for w in b.members) << width), step
+        yield level_a.mask(a.members) | level_b.mask(b.members) << width, step
         if (step := cross_lex_shift_step(a, b)) is None:
             break
         a, b = step[0], step[1]

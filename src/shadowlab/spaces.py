@@ -21,12 +21,12 @@ That enumerator, `_ClosureFilter.masks`, is the one closure walk: the
 shifted families are the kept masks of the shifted filter, the up-sets those
 of a filter on the superset table, and the cross-intersecting pairs those of
 a filter over the a-words and b-words together, each walked over its whole
-range.
+range.  The filters are built afresh for each stream or check; the level
+tables they read come from `orders.level`, the one cache of level tables.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import random
@@ -389,7 +389,6 @@ class _ClosureFilter:
                 yield mask
 
 
-@functools.lru_cache(maxsize=64)
 def _shifted_filter(n: int, k: int):
     """Keeps exactly the shifted masks of the k-level of [n]: those holding
     the immediate shift predecessors of each of their words.  Words are
@@ -409,10 +408,12 @@ def _iter_shifted(n: int, k: int):
         yield _mask_family(n, k, words, mask)
 
 
-@functools.lru_cache(maxsize=64)
 def _intersecting_filter(n: int, k: int):
     """Keeps exactly the pairwise intersecting masks of the k-level of [n]:
-    no word is disjoint from a word of the mask, itself included."""
+    no word is disjoint from a word of the mask, itself included.  Word i's
+    table is the complement of ``level(n, k).meets(k)[i]``, but it is built
+    when word i is first needed (see `_ClosureFilter`), not for the whole
+    level at once."""
     words = level_words(n, k)
     return _ClosureFilter(
         len(words),
@@ -429,15 +430,6 @@ def _with_mask_filter(check, space: InstanceSpace, make):
     return check
 
 
-def _cross_meets(n: int, a: int, b: int) -> list[int]:
-    """For each a-set (colex index), the mask of the b-sets it meets."""
-    words_b = level_words(n, b)
-    return [
-        sum(1 << j for j, wb in enumerate(words_b) if wa & wb)
-        for wa in level_words(n, a)
-    ]
-
-
 def _iter_cross_pairs(n: int, a: int, b: int):
     """All cross-intersecting pairs (A, B) with A in the a-level, B in the b-level.
 
@@ -448,7 +440,7 @@ def _iter_cross_pairs(n: int, a: int, b: int):
     words_a = level_words(n, a)
     words_b = level_words(n, b)
     lb, full_b = len(words_b), (1 << len(words_b)) - 1
-    misses = [full_b & ~meet for meet in _cross_meets(n, a, b)]
+    misses = [full_b & ~meet for meet in level(n, a).meets(b)]
     pairs = _ClosureFilter(len(words_a) + lb, lambda i: misses[i - lb] if i >= lb else 0, 0)
     amask = fam_a = None
     for mask in pairs.masks(0, 1 << pairs.size):

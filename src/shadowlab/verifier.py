@@ -19,7 +19,9 @@ its own instances; the reduction merges counterexample and witness lists
 in index order under the same cut, so runs are reproducible regardless of
 the worker count.  Kernels and every other space run in one process and
 tick the meter as they work.  A kernel reads its claim's verdict from
-``claims`` when it runs, so it holds no bound of its own.
+``claims`` when it runs, so it holds no bound of its own, and its level's
+tables (shadows, level-index masks, the ``meets`` masks) from
+``orders.level``, so it holds no cache of its own.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .spaces import (
     BudgetExceeded,  # raised by the meter; callers catch it from here
     InstanceSpace,
     Meter,
-    _cross_meets,
     _iter_numbered,
     _label,
     _mask_family,
@@ -311,9 +312,10 @@ def _graph_keys(n: int, edges):
     index = np.min_scalar_type(total - 1)
     cover = np.zeros(total, dtype=np.min_scalar_type((1 << n) - 1))
     nu = np.zeros(total, dtype=np.uint8)
+    meets = level(n, 2).meets(2)
     for e, word in enumerate(edges):
         lo = 1 << e
-        apart = (lo - 1) ^ sum(1 << f for f in range(e) if edges[f] & word)
+        apart = (lo - 1) & ~meets[e]
         cover[lo:2 * lo] = cover[:lo] | word
         for start in range(0, lo, KERNEL_BLOCK):
             stop = min(start + KERNEL_BLOCK, lo)
@@ -321,10 +323,7 @@ def _graph_keys(n: int, edges):
                 nu[start:stop], 1 + nu[np.arange(start, stop, dtype=index) & apart])
 
     # The edges avoiding each s-set, for s = 1 .. n // 2.
-    keeps = [
-        [sum(1 << e for e, word in enumerate(edges) if word & r == 0) for r in level_words(n, s)]
-        for s in range(1, n // 2 + 1)
-    ]
+    keeps = [[(total - 1) & ~meet for meet in level(n, s).meets(2)] for s in range(1, n // 2 + 1)]
     key_type = np.min_scalar_type((n // 2 + 1) * (num_edges + 1) * 2)
     for start in range(0, total, KERNEL_BLOCK):
         covering = np.flatnonzero(cover[start:start + KERNEL_BLOCK] == (1 << n) - 1)
@@ -392,7 +391,7 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, meter) -> dict:
     notes["threshold_a"] = thr_a
     notes["threshold_b"] = thr_b
     tick = Meter.of(space, meter).tick
-    meet = _cross_meets(n, a, b)
+    meet = level(n, a).meets(b)
     best = _max_room(meet, lb)
     skipped = 0
 
@@ -469,9 +468,9 @@ def _correlation_pairs_kernel(check, space: InstanceSpace, params, meter) -> dic
     meter = Meter.of(space, meter)
     fams = list(iter_space(space, meter))
     n, k = space.get("n"), space.get("k")
-    index = level(n, k).index
+    lvl = level(n, k)
     total = comb(n, k)
-    sides = [(sum(1 << index[w] for w in fam), len(fam)) for fam in fams]
+    sides = [(lvl.mask(fam.members), len(fam)) for fam in fams]
     verdict = functools.cache(claims._correlation_verdict)
     text = functools.cache(lambda i: fams[i].to_text())
 

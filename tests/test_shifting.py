@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shadowlab import families, orders, shifting
+from shadowlab import families, orders, shifting, spaces
 
 from shadowlab.families import (
     Family,
@@ -398,6 +398,18 @@ def test_level_table_matches_rank_and_shadow(f):
             assert sub == set(shadow(Family(f.n, [x]), f.k - 1).members)
         union = set().union(*(table.shadows[table.index[x]] for x in f.members))
         assert len(union) == len(shadow(f, f.k - 1))
+        for s, size in enumerate(table.colex_shadow_sizes):
+            assert size == len(shadow(colex_segment(f.n, s, f.k), f.k - 1))
+    assert spaces._mask_family(f.n, f.k, table.words, table.mask(f.members)) == f
+    for b in (f.k - 1, f.k, f.k + 1):
+        if 0 <= b <= f.n:
+            other = level_words(f.n, b)
+            meets = table.meets(b)
+            assert len(meets) == len(table.words)
+            for i, x in enumerate(table.words):
+                assert [meets[i] >> j & 1 for j in range(len(other))] == [
+                    int(bool(x & y)) for y in other]
+                assert meets[i] >> len(other) == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,7 +22,7 @@ from shadowlab.claims import CLAIMS, is_r_wise_t_union
 from shadowlab.constructions import build
 from shadowlab.diversity import s_diversity
 from shadowlab.families import Family, InvariantViolation, is_r_wise_t_intersecting, matching_number
-from shadowlab.orders import Ordering, compare, level_words, lex_segment
+from shadowlab.orders import Ordering, compare, level, level_words, lex_segment
 from shadowlab.shifting import is_shifted
 from shadowlab.spaces import BudgetExceeded, InstanceSpace, iter_space, space_size
 from shadowlab.verifier import Report, reverify, verify, verify_cross_pair_space
@@ -1283,7 +1283,7 @@ def _cross_stability_loop(check, space, params, budget):
     n, a, b = space.get("n"), space.get("a"), space.get("b")
     words_a, words_b = level_words(n, a), level_words(n, b)
     la, lb = len(words_a), len(words_b)
-    meets = spaces._cross_meets(n, a, b)
+    meets = level(n, a).meets(b)
     roomy = {}
     at_thresholds = 0
 
@@ -1337,7 +1337,7 @@ def test_cross_stability_kernel_matches_full_loop(nab):
 def test_max_room_is_the_largest_room_of_each_size(nab):
     # the Kruskal–Katona bound against every A-side of each size small enough to list
     n, a, b = nab
-    meets = spaces._cross_meets(n, a, b)
+    meets = level(n, a).meets(b)
     la, lb = len(meets), comb(n, b)
     best = verifier._max_room(meets, lb)
     assert len(best) == la + 1
@@ -1386,6 +1386,35 @@ def test_only_the_meter_holds_the_budget():
                 for word in ("raise BudgetExceeded", "DEFAULT_BUDGET", "SHADOWLAB_BUDGET"))
     }
     assert holders == {"Meter"}
+
+
+def test_one_cache_of_level_tables():
+    # orders.level builds one orders.Level per (n, k), and it owns every
+    # table read on a level: the step tables, the meets masks and the colex
+    # shadow sizes.  The module-level caches that stay: level itself;
+    # level_words, which the benchmark clears and traces by name;
+    # families._cube_masks, a table over 2^[n] keyed by n alone; and the
+    # verdict caches _shadow_verdict and _graph_verdict, which hold verdicts
+    # and no level table.
+    import importlib
+    import pkgutil
+
+    import shadowlab
+
+    cached = set()
+    for info in pkgutil.iter_modules(shadowlab.__path__):
+        module = importlib.import_module(f"shadowlab.{info.name}")
+        for name in ("_LevelSteps", "_level_steps", "_colex_shadow_table", "_cross_meets"):
+            assert not hasattr(module, name), (info.name, name)
+        cached |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                   if hasattr(obj, "cache_info")
+                   and getattr(obj, "__module__", None) == module.__name__}
+    assert cached == {"orders.level", "orders.level_words", "families._cube_masks",
+                      "claims._shadow_verdict", "claims._graph_verdict"}
+    for fn in (spaces._shifted_filter, spaces._intersecting_filter):
+        assert not hasattr(fn, "cache_info"), fn.__name__
+    for module in (shifting, spaces):
+        assert "lru_cache" not in inspect.getsource(module), module.__name__
 
 
 def _correlation_cases():
