@@ -2,9 +2,10 @@
 
 C(x, k) for real x is the falling factorial over k!, with C(x, k) = 0 below
 the diagonal x < k.  Integer (and Fraction) arguments are evaluated exactly
-in arbitrary-precision arithmetic; floats stay floats.  Every closed-form
-threshold used elsewhere in the package lives in the ``bound_value``
-registry under a descriptive name.
+in arbitrary-precision arithmetic; floats stay floats.  The ``bound_value``
+registry names the closed-form thresholds; ``rwise-diversity``,
+``cross-shadow-size`` and the stability thresholds are evaluated in their
+claims, which also run outside the registry's ranges, as exploratory.
 """
 
 from __future__ import annotations

@@ -48,7 +48,8 @@ from .families import (
 )
 from .orders import level, lex_segment
 from .shifting import _colex_walk, _cross_lex_walk, is_shifted, shift_ij
-from .spaces import InstanceSpace, _intersecting_filter, _shifted_filter, _with_mask_filter
+from .spaces import InstanceSpace, _axis_values, _intersecting_filter, _shifted_filter
+from .spaces import _with_mask_filter
 
 
 @dataclass(frozen=True)
@@ -553,11 +554,13 @@ def _prep_rwise_diversity(space, params):
 
 
 def _rwise_in_range(space: InstanceSpace, params: dict) -> bool:
+    """Whether n > max(15, 2(r+t)) k at every point: a grid's least n, largest k."""
     n, k = space.get("n"), space.get("k")
     if n is None or k is None:
         return False
+    ns, ks = _axis_values(n), _axis_values(k)
     r, t = params["r"], params["t"]
-    return r >= 3 and t >= 1 and n > max(15, 2 * (r + t)) * k
+    return r >= 3 and t >= 1 and bool(ns and ks) and ns[0] > max(15, 2 * (r + t)) * ks[-1]
 
 
 @_claim(
@@ -906,9 +909,9 @@ def _prep_t_intersecting_diversity(space, params):
 
     def check(point):
         grid, fam = point
-        if fam is None:
+        n, t = grid.get("n"), grid.get("t")
+        if fam is None or None in (n, t):
             return "skip", None
-        n, t = grid["n"], grid["t"]
         if not is_r_wise_t_intersecting(fam, 2, t):
             return "violation", f"construction is not {t}-intersecting"
         cap = bound_value("t-intersecting-size", n=n, t=t)

@@ -15,6 +15,7 @@ from math import comb
 from .families import (
     Family,
     InvariantViolation,
+    degree,
     degree_vector,
     elements_of,
     max_degree,
@@ -176,11 +177,8 @@ def influence(fam: Family, i: int) -> float:
     if not 1 <= i <= fam.n:
         raise ValueError(f"element {i} outside 1..{fam.n}")
     cnt = _boundary_count(fam, i)
-    if is_up_closed(fam):
-        bit = 1 << (i - 1)
-        deg = sum(1 for w in fam.members if w & bit)
-        if cnt != 2 * deg - len(fam):
-            raise InvariantViolation("up-set influence identity failed")
+    if is_up_closed(fam) and cnt != 2 * degree(fam, i) - len(fam):
+        raise InvariantViolation("up-set influence identity failed")
     return cnt / (1 << (fam.n - 1))
 
 

@@ -50,22 +50,26 @@ def compare(a: int, b: int, kind: str) -> Ordering:
     return Ordering.LESS if a & (diff & -diff) else Ordering.GREATER
 
 
-@functools.lru_cache(maxsize=64)
-def level_words(n: int, k: int) -> tuple[int, ...]:
-    """All k-subsets of [n] as words in ascending (= colex) order."""
-    if k < 0 or k > n:
-        return ()
+def _colex_words(n: int, k: int):
+    """The k-subsets of [n] as ascending (= colex) words, by Gosper's next-subset step."""
+    if not 0 <= k <= n:
+        return
     if k == 0:
-        return (0,)
-    out = []
+        yield 0
+        return
     w = (1 << k) - 1
     top = 1 << n
     while w < top:
-        out.append(w)
+        yield w
         low = w & -w
         ripple = w + low
         w = ripple | (((w ^ ripple) // low) >> 2)
-    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def level_words(n: int, k: int) -> tuple[int, ...]:
+    """All k-subsets of [n] as words in ascending (= colex) order."""
+    return tuple(_colex_words(n, k))
 
 
 class Level:
@@ -161,7 +165,7 @@ class Level:
     def move(self, mask: int, u: int, v: int) -> tuple[int, int, int]:
         """The U<-V step on a level-index mask: the masks of the members it
         moves and of their images, and the sum of the moves' index offsets.
-        An image moves in when `mask` lacks it, as in `shifting._daykin_pairs`."""
+        An image moves in when `mask` lacks it, as in `shifting._daykin_words`."""
         sources = images = delta = 0
         for d, h in self.table(u, v):
             s = mask & h
@@ -194,16 +198,7 @@ def colex_rank(word: int) -> int:
 def colex_segment(n: int, t: int, k: int) -> Family:
     """The first t k-subsets of [n] in colex order."""
     _check_segment_args(n, t, k)
-    if k == 0:
-        return Family(n, [0][:t], k=0)
-    out = []
-    w = (1 << k) - 1
-    while len(out) < t:
-        out.append(w)
-        low = w & -w
-        ripple = w + low
-        w = ripple | (((w ^ ripple) // low) >> 2)
-    return Family(n, out, k=k)
+    return Family(n, itertools.islice(_colex_words(n, k), t), k=k)
 
 
 def lex_segment(n: int, t: int, k: int) -> Family:

@@ -5,10 +5,10 @@ fixed-point iteration to a shifted family, colex compression and the
 paired lex shift of cross-intersecting pairs, each with its certificates.
 Every compression produces a replayable trace.
 
-One step rule serves every shift on a Family: `_daykin_pairs` returns the
-(old, new) word pairs a U<-V shift moves, the Family-level shifts build
-their result from those pairs, and the element-sum certificate of
-`shift_to_shifted` reads them.  The colex walk `_colex_walk` carries no
+One step rule serves every shift on a Family: `_daykin_words` makes the
+U<-V step and returns the (old, new) word pairs it moved.  Every
+Family-level shift is that step, and the element-sum certificate of
+`shift_to_shifted` reads its pairs.  The colex walk `_colex_walk` carries no
 Family: its state is a level-index mask, and each step reads the step
 tables that `orders.Level` owns, the words the step moves grouped by how
 far their colex index moves, so that the step, its colex-rank change and
@@ -19,7 +19,6 @@ and raise InvariantViolation where a certificate fails.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -169,20 +168,12 @@ def shift_to_shifted(fam: Family) -> tuple[Family, ShiftTrace]:
     return cur, ShiftTrace(tuple(steps))
 
 
-def _daykin_pairs(
-    members: Iterable[int], present: Container[int], u: int, v: int
-) -> list[tuple[int, int]]:
-    """The (old, new) word pairs of the U<-V step: every member holding V
-    and missing U moves to its image with V replaced by U when that image
-    is not in `present`."""
-    uv = u | v
-    return [(w, g) for w in members if w & uv == v and (g := w ^ uv) not in present]
-
-
 def _daykin_words(fam: Family, u: int, v: int) -> tuple[Family, list[tuple[int, int]]]:
-    """The U<-V step on a Family, with the pairs it moved; the family itself
-    when nothing moved."""
-    pairs = _daykin_pairs(fam.members, fam.member_set(), u, v)
+    """The U<-V step on a Family and the (old, new) word pairs it moved: each
+    member holding V and missing U moves to its image, V replaced by U, when
+    that image is not a member.  The family itself when nothing moved."""
+    uv, present = u | v, fam.member_set()
+    pairs = [(w, g) for w in fam.members if w & uv == v and (g := w ^ uv) not in present]
     if not pairs:
         return fam, pairs
     olds = {old for old, _ in pairs}

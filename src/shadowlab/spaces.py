@@ -137,10 +137,7 @@ def _parse_value(text: str):
     try:
         return int(text)
     except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
+        return text
 
 
 def space_size(space: InstanceSpace) -> int | None:
@@ -222,11 +219,6 @@ class Meter:
         if over:
             raise BudgetExceeded(f"{self.name} holds {size} instances; budget {budget}")
 
-    @classmethod
-    def of(cls, space: InstanceSpace, budget: Meter | int | None) -> Meter:
-        """The meter handed down, or a new one built from a bare budget."""
-        return budget if isinstance(budget, Meter) else cls(space, budget)
-
     def tick(self, count: int = 1) -> None:
         self.spent += count
         if self.spent > self.cap:
@@ -234,8 +226,8 @@ class Meter:
 
 
 def iter_space(space: InstanceSpace, budget: Meter | int | None = None):
-    """Deterministic instance stream, each instance a tick of the meter."""
-    tick = Meter.of(space, budget).tick
+    """Deterministic instance stream; each instance ticks `budget`, or a Meter built from it."""
+    tick = (budget if isinstance(budget, Meter) else Meter(space, budget)).tick
     for inst in _raw_iter(space):
         tick()
         yield inst
@@ -280,13 +272,15 @@ def _iter_numbered(space: InstanceSpace, lo: int, hi: int, keep=None):
 
     With `keep`, a level-mask filter, only the instances it keeps are built
     and yielded: all-families enumerates them by `keep.masks`, and a sample
-    tries each drawn mask with the predicate."""
+    tries each drawn mask with the predicate.  An empty range builds nothing."""
+    if lo >= hi:
+        return
     n, k = space.get("n"), space.get("k")
     if space.kind == "all-families":
         words = level_words(n, k)
         masks = range(lo, hi) if keep is None else keep.masks(lo, hi)
     else:
-        if k is None and n > 16 and lo < hi:
+        if k is None and n > 16:
             raise ValueError("non-uniform random sampling limited to n <= 16")
         words = range(1 << n) if k is None else level_words(n, k)
         seed = space.get("seed", 0) * 1_000_003

@@ -390,7 +390,6 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, meter) -> dict:
     notes = params["_notes"]
     notes["threshold_a"] = thr_a
     notes["threshold_b"] = thr_b
-    tick = Meter.of(space, meter).tick
     meet = level(n, a).meets(b)
     best = _max_room(meet, lb)
     skipped = 0
@@ -405,7 +404,7 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, meter) -> dict:
         bbits = [jdx for jdx in range(lb) if room >> jdx & 1]
         fam_a = Family(n, (words_a[i] for i in combo), k=a)
         for size_b in held:
-            tick(comb(len(bbits), size_b))
+            meter.tick(comb(len(bbits), size_b))
             for bcombo in itertools.combinations(bbits, size_b):
                 yield fam_a, Family(n, (words_b[j] for j in bcombo), k=b)
 
@@ -441,7 +440,7 @@ def _cross_stability_kernel(check, space: InstanceSpace, params, meter) -> dict:
                     nxt += 1
                     continue
                 if depth == 0 or nodes >= 4096:
-                    tick(nodes)
+                    meter.tick(nodes)
                     nodes = 0
                     if depth == 0:
                         break
@@ -465,7 +464,6 @@ def _correlation_pairs_kernel(check, space: InstanceSpace, params, meter) -> dic
     of its two families, and each text is built once, when a recorded pair
     first needs it.
     """
-    meter = Meter.of(space, meter)
     fams = list(iter_space(space, meter))
     n, k = space.get("n"), space.get("k")
     lvl = level(n, k)

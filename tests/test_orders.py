@@ -102,6 +102,13 @@ def test_colex_segment_closure():
         assert seg.members == tuple(level_words(m, k))
 
 
+def test_colex_segment_builds_only_its_words():
+    # the 32-level of [64] holds C(64,32) words: a segment stops at its t-th
+    assert colex_segment(64, 5, 32).members == level_words(33, 32)[:5]
+    assert colex_segment(4, 1, 0).members == (0,) and len(colex_segment(4, 0, 0)) == 0
+    assert level_words(3, -1) == level_words(3, 4) == ()
+
+
 def test_segments_are_shifted():
     for t in range(comb(5, 2) + 1):
         assert is_shifted(colex_segment(5, t, 2))

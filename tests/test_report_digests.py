@@ -76,7 +76,7 @@ DIGESTS = [
     ("rwise-diversity", "random-sample:count=200,k=2,n=5,seed=1", {"r": 2, "t": 1}, 1,
      "d221966ea1d5b8e34f0e9c1f6bbff8dc0026103efa2be2fd1ab73576826de3bf"),
     ("rwise-diversity", "constructions-grid:k=3..4,n=6..8,name=rwise_example,r=2..3,t=1..2", {}, 1,
-     "49b0d27cd6ace11427d1fb634831ad93f0abebaffcb2b09876bd874c47efec8e"),
+     "8e772ccab74d7a956dc2817929e3383cecd264feea348e3dbd198df5adc83698"),
     ("matching-diversity-max", "all-families:n=5,k=2", {"s": 2}, 1,
      "5494d21fc3e2f40fd59d884e1afdaa9eb6c42f60f22b1aa626a170306e4ad24c"),
     ("shift-preserves", "all-families:n=4,k=2", {}, 1,

@@ -17,14 +17,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shadowlab import claims, shifting, spaces, verifier
+from shadowlab import claims, orders, shifting, spaces, verifier
+from shadowlab.binomials import bound_value
 from shadowlab.claims import CLAIMS, is_r_wise_t_union
 from shadowlab.constructions import build
 from shadowlab.diversity import s_diversity
 from shadowlab.families import Family, InvariantViolation, is_r_wise_t_intersecting, matching_number
+from shadowlab.families import word_of
 from shadowlab.orders import Ordering, compare, level, level_words, lex_segment
 from shadowlab.shifting import is_shifted
-from shadowlab.spaces import BudgetExceeded, InstanceSpace, iter_space, space_size
+from shadowlab.spaces import BudgetExceeded, InstanceSpace, Meter, iter_space, space_size
 from shadowlab.verifier import Report, reverify, verify, verify_cross_pair_space
 
 
@@ -221,6 +223,18 @@ def test_random_sample_deterministic():
     assert one == two
     other = InstanceSpace.make("random-sample", n=6, k=3, count=20, seed=12)
     assert one != [f.members for f in iter_space(other)]
+
+
+def test_an_empty_sample_builds_no_level(monkeypatch):
+    # count=0 is an empty space, whose C(40,20)-word level is never built
+    def refuse(n, k):
+        raise AssertionError(f"built the ({n}, {k}) level")
+
+    monkeypatch.setattr(spaces, "level_words", refuse)
+    space = InstanceSpace.make("random-sample", n=40, k=20, count=0)
+    assert list(iter_space(space)) == []
+    rep = verify("shadow-real-lower", space, jobs=1)
+    assert (rep.checked, rep.skipped) == (0, 0)
 
 
 def test_budget_exceeded_reported():
@@ -714,6 +728,14 @@ def test_rwise_diversity_exploratory_flag():
     rep = verify("rwise-diversity", "all-families:n=5,k=3", params={"r": 3, "t": 1})
     assert rep.exploratory
     assert rep.violations == 0
+    # a grid is in range only when every point is: its least n above
+    # max(15, 2(r+t)) times its largest k
+    for space, exploratory in (
+        ("constructions-grid:name=rwise_example,n=6..8,k=3,r=2,t=1", True),
+        ("constructions-grid:k=3..4,n=6..8,name=rwise_example,r=2..3,t=1..2", True),
+        ("constructions-grid:k=2,n=31..33,name=params", False),
+    ):
+        assert verify("rwise-diversity", space).exploratory is exploratory, space
 
 
 def test_shifted_t_diversity_out_of_range_counterexample():
@@ -861,6 +883,9 @@ def test_t_intersecting_diversity_claim():
     assert rep.violations == 0
     assert rep.exploratory
     assert rep.notes["gamma"]
+    # a point without a t axis is skipped, as other grid claims skip a missing axis
+    rep = verify("t-intersecting-diversity", "constructions-grid:name=kalai_circle,n=3..4")
+    assert (rep.checked, rep.skipped) == (0, 2)
 
 
 def test_parallel_scan_matches_serial():
@@ -1245,6 +1270,49 @@ def test_stability_thresholds_stay_within_the_levels():
                         assert thr_a >= 1 and thr_b >= 1, (n, a, b, u, v)
 
 
+def test_stability_thresholds_match_the_registry():
+    # the claim computes its own thresholds, as it also runs outside the
+    # stated range; inside it they are the registry's cross-pair-size
+    compared = 0
+    for n in range(2, 16):
+        for a in range(1, n):
+            for b in range(1, n - a + 1):
+                space = InstanceSpace.make("all-cross-pairs", n=n, a=a, b=b)
+                for u, v in itertools.product(range(3, 9), repeat=2):
+                    thr_a, thr_b, _, _ = claims._stability_thresholds(space, {"u": u, "v": v})
+                    for thr, size, uu, vv in ((thr_a, a, u, v), (thr_b, b, v, u)):
+                        try:
+                            expected = bound_value("cross-pair-size", n=n, a=size, u=uu, v=vv)
+                        except ValueError:
+                            continue
+                        assert thr == expected, (n, a, b, u, v)
+                        compared += 1
+    assert compared == 6300
+
+
+def test_stability_check_reaches_every_verdict(monkeypatch):
+    # at (7,3,3) both thresholds are 13 and both caps 1; S(x) is the 15
+    # 3-sets of [7] that hold x
+    space = InstanceSpace.make("all-cross-pairs", n=7, a=3, b=3)
+    spec = CLAIMS["cross-diversity-stability"]
+    assert claims._stability_thresholds(space, {"u": 3, "v": 3}) == (13, 13, 1, 1)
+    check = spec.prepare(space, {"u": 3, "v": 3, "_notes": {}})
+    star = {x: [w for w in level_words(7, 3) if w >> (x - 1) & 1] for x in (1, 2)}
+    s1 = Family(7, star[1])
+    assert check((s1, s1)) == ("ok", None)
+    assert check((s1, Family(7, star[1][:14] + [word_of((2, 3, 4))]))) == (
+        "violation", "diversity(B)=1 >= 1")
+    assert check((s1, Family(7, star[2]))) == (
+        "violation", "largest-degree elements differ between the sides")
+    # at caps 1 a side below its cap is a star, whose top element is unique;
+    # thresholds 1 and caps 2 reach the uniqueness test
+    monkeypatch.setattr(claims, "_stability_thresholds", lambda space, params: (1, 1, 2, 2))
+    check = spec.prepare(space, {"u": 3, "v": 3, "_notes": {}})
+    fam_a = Family(7, [word_of((1, 2, 3))])
+    fam_b = Family(7, [word_of((1, 2, 4)), word_of((1, 2, 5))])
+    assert check((fam_a, fam_b)) == ("violation", "largest-degree element is not unique")
+
+
 def test_cross_pair_claim_via_engine():
     assert "cross-diversity-stability" in CLAIMS
     rep = verify(
@@ -1324,7 +1392,7 @@ def test_cross_stability_kernel_matches_full_loop(nab):
     params = {"u": 3, "v": 3, "_notes": {}}
     check = spec.prepare(space, params)
     expected, roomy = _cross_stability_loop(check, space, params, None)
-    assert verifier._cross_stability_kernel(check, space, params, None) == expected
+    assert verifier._cross_stability_kernel(check, space, params, Meter(space)) == expected
     # the kernel stops at the first size without room: no later size has any
     sizes = sorted(roomy)
     dead = [size for size in sizes if not roomy[size]]
@@ -1417,6 +1485,22 @@ def test_one_cache_of_level_tables():
         assert "lru_cache" not in inspect.getsource(module), module.__name__
 
 
+def test_each_rule_written_once():
+    # one colex successor, one U<-V step on a Family, no second way to get a
+    # meter, and no float values in the name:k=v grammar
+    import importlib
+    import pkgutil
+
+    import shadowlab
+
+    for info in pkgutil.iter_modules(shadowlab.__path__):
+        module = importlib.import_module(f"shadowlab.{info.name}")
+        assert not hasattr(module, "_daykin_pairs"), info.name
+    assert not hasattr(spaces.Meter, "of")
+    assert inspect.getsource(orders).count("ripple = w + low") == 1
+    assert spaces._parse_value("2.5") == "2.5"
+
+
 def _correlation_cases():
     for n, k in ((5, 2), (6, 2), (6, 3), (7, 3)):
         space = InstanceSpace.make("all-shifted-families", n=n, k=k)
@@ -1443,7 +1527,7 @@ def test_only_the_tally_reads_the_recording_cut():
 
 def test_correlation_kernel_matches_the_check_on_every_pair():
     for space, check, expected in _correlation_cases():
-        assert verifier._correlation_pairs_kernel(check, space, {}, None) == expected
+        assert verifier._correlation_pairs_kernel(check, space, {}, Meter(space)) == expected
     # (7,3) has more equalities than a report records
     assert expected["equalities"] == 1404 > verifier.MAX_RECORDED
 
@@ -1456,7 +1540,7 @@ def test_correlation_kernel_records_violations_as_the_check_does(monkeypatch):
     )
     for space, check, expected in _correlation_cases():
         assert expected["violations"] > 0
-        assert verifier._correlation_pairs_kernel(check, space, {}, None) == expected
+        assert verifier._correlation_pairs_kernel(check, space, {}, Meter(space)) == expected
     assert expected["violations"] > verifier.MAX_RECORDED
 
 
