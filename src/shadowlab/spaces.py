@@ -418,8 +418,8 @@ def _intersecting_filter(n: int, k: int):
 
 def _with_mask_filter(check, space: InstanceSpace, make):
     """The check, carrying make(n, k) as its mask_filter when the space
-    streams level masks: all-families or a uniform random-sample."""
-    if space.kind in NUMBERED_KINDS and space.get("k") is not None:
+    streams level masks: all-families or a non-empty uniform random-sample."""
+    if space.kind in NUMBERED_KINDS and space.get("k") is not None and space_size(space):
         check.mask_filter = make(space.get("n"), space.get("k"))
     return check
 

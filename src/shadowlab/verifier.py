@@ -13,15 +13,15 @@ scan.  Either one only states how many instances of each status it met and
 hands over the instances to record; one tally, ``_record``, counts them,
 keeps at most MAX_RECORDED counterexamples and witnesses and serializes
 them through ``_instance_payload``.  With jobs >= 2 the scan splits the
-numbered spaces, all-families and random-sample, into index ranges checked
-in a process pool, each worker preparing its own check and building only
-its own instances; the reduction merges counterexample and witness lists
-in index order under the same cut, so runs are reproducible regardless of
-the worker count.  Kernels and every other space run in one process and
-tick the meter as they work.  A kernel reads its claim's verdict from
-``claims`` when it runs, so it holds no bound of its own, and its level's
-tables (shadows, level-index masks, the ``meets`` masks) from
-``orders.level``, so it holds no cache of its own.
+numbered spaces, all-families and random-sample, into index ranges: the
+first checked here, each other by a child process that prepares its own
+check and builds only its own instances; the reduction merges the
+counterexample and witness lists in index order under the same cut, so
+runs are reproducible regardless of the worker count.  Kernels and every
+other space run in one process and tick the meter as they work.  A kernel
+reads its claim's verdict from ``claims`` when it runs, so it holds no
+bound of its own, and its level's tables (shadows, level-index masks, the
+``meets`` masks) from ``orders.level``, so it holds no cache of its own.
 """
 
 from __future__ import annotations
@@ -544,27 +544,46 @@ def verify(
 
 
 def _scan(spec: ClaimSpec, check, space, params, jobs, meter) -> dict:
-    """The generic scan.  A numbered space is split into at most `jobs`
-    index ranges, checked through the check's mask filter if it has one:
-    one range here, more in at most one worker process per CPU, merged in
-    range order with the lists cut back to MAX_RECORDED.  Every other space
-    is one stream through iter_space, which ticks the meter."""
+    """The generic scan.  A numbered space is cut into min(jobs, CPUs,
+    instances) index ranges, checked through the check's mask filter if it
+    has one: the first here, each other in a child process that pipes back
+    its tally, merged in range order with the lists cut back to MAX_RECORDED.
+    Every other space is one stream through iter_space, which ticks the meter."""
     if space.kind not in NUMBERED_KINDS:
         return _check_stream(check, iter_space(space, meter))
     total = space_size(space)
-    chunk = max(1, -(-total // jobs))
-    blocks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    workers = min(len(blocks), os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1, total)
     if workers < 2:
         return _check_range(check, space, (0, total))
-    from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when a pool starts
+    import multiprocessing  # loaded only when a scan starts workers
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_worker_scan, spec.id, space.describe(), params, blk)
-            for blk in blocks
-        ]
-        partials = [f.result() for f in futures]
+    cuts = [total * i // workers for i in range(workers + 1)]
+    blocks = list(zip(cuts, cuts[1:]))
+    context, children = multiprocessing.get_context(), []
+    try:
+        for blk in blocks[1:]:
+            receive, send = context.Pipe(duplex=False)
+            args = (send, spec.id, space.describe(), params, blk)
+            child = context.Process(target=_worker_main, args=args, daemon=True)
+            child.start()
+            children.append((child, receive))
+            send.close()  # the child holds the only write end, so its death reads as EOF
+        partials = [_check_range(check, space, blocks[0])]
+        for child, receive in children:
+            try:
+                raised, result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"scan worker died with exit code {child.exitcode}") from None
+            if raised:
+                raise result
+            partials.append(result)
+    finally:
+        for child, receive in children:
+            receive.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
     merged = _tallies()
     for part in partials:
         for key, value in part.items():
@@ -606,6 +625,15 @@ def _worker_scan(claim_id, space_text, params, block):
     space = InstanceSpace.parse(space_text)
     check = CLAIMS[claim_id].prepare(space, dict(params, _notes={}))
     return _check_range(check, space, block)
+
+
+def _worker_main(send, *args) -> None:
+    """A child's entry: _worker_scan(*args), sent as (raised, result)."""
+    try:
+        reply = (False, _worker_scan(*args))
+    except Exception as exc:
+        reply = (True, exc)
+    send.send(reply)
 
 
 def verify_cross_pair_space(

@@ -400,11 +400,12 @@ def test_verify_empty_random_sample(jobs):
 
 
 def test_cli_import_loads_no_process_pool():
-    # the pool's module, and multiprocessing with it, loads only when a scan starts workers
-    probe = "import sys, shadowlab.cli; print('concurrent.futures.process' in sys.modules)"
+    # the pool's module and multiprocessing load only when a scan starts workers
+    probe = ("import sys, shadowlab.cli; "
+             "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_io_error_exit_74():

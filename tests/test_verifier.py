@@ -1,17 +1,17 @@
 """Instance spaces, the claim engine, reports and their replay guarantees."""
 
 import bisect
-import concurrent.futures
 import functools
 import inspect
 import itertools
 import json
+import multiprocessing
 import operator
 import random
 import subprocess
 import sys
-from concurrent.futures import Future
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -233,8 +233,10 @@ def test_an_empty_sample_builds_no_level(monkeypatch):
     monkeypatch.setattr(spaces, "level_words", refuse)
     space = InstanceSpace.make("random-sample", n=40, k=20, count=0)
     assert list(iter_space(space)) == []
-    rep = verify("shadow-real-lower", space, jobs=1)
-    assert (rep.checked, rep.skipped) == (0, 0)
+    # nor the level filter of a claim that has one
+    for claim in ("shadow-real-lower", "rwise-diversity", "intersecting-diversity-size"):
+        rep = verify(claim, space, jobs=1)
+        assert (rep.checked, rep.skipped) == (0, 0)
 
 
 def test_budget_exceeded_reported():
@@ -1174,41 +1176,84 @@ def test_shifted_scan_builds_only_shifted_families(monkeypatch):
     assert rep.skipped == (1 << 20) - 66
 
 
+class InlineContext:
+    """A multiprocessing context that counts the processes it starts and
+    runs each one at once, in this process, through a list as its pipe."""
+
+    def __init__(self):
+        self.started = 0
+
+    def Pipe(self, duplex):
+        box = []
+        end = SimpleNamespace(send=box.append, recv=box.pop, close=lambda: None)
+        return end, end
+
+    def Process(self, target, args, daemon):
+        def start():
+            self.started += 1
+            target(*args)
+
+        return SimpleNamespace(start=start, is_alive=lambda: False, join=lambda: None)
+
+
 def test_worker_count_is_capped(monkeypatch):
     opened = []
 
-    class InlineExecutor:
-        """Records max_workers and runs each task at once, in this process."""
+    def get_context():
+        opened.append(InlineContext())
+        return opened[-1]
 
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-    # the scan imports the pool from concurrent.futures when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    # the scan imports multiprocessing and takes its default context when it starts workers
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
     serial = verify("shifted-structure", "all-families:n=4,k=2", jobs=1)
     for jobs in (3, 1000):
         rep = verify("shifted-structure", "all-families:n=4,k=2", jobs=jobs)
         assert rep.canonical_json() == serial.canonical_json()
     assert verify("shift-preserves", "random-sample:count=3,k=2,n=4", jobs=1000).checked == 3
-    # min(jobs, blocks, CPUs): 3 jobs; 64 one-instance blocks on 4 CPUs; 3 blocks
-    assert opened == [3, 4, 3]
-    # an empty sample, or one instance, starts no worker
+    # min(jobs, CPUs, instances) processes, this one counted: 3 jobs; 4 CPUs; 3 instances
+    assert [ctx.started + 1 for ctx in opened] == [3, 4, 3]
+    # an empty sample, or one instance, starts no process
     for count in (0, 1):
         rep = verify("shift-preserves", f"random-sample:count={count},k=2,n=4", jobs=1000)
         assert rep.checked == count
-    assert opened == [3, 4, 3]
+    assert [ctx.started + 1 for ctx in opened] == [3, 4, 3]
+
+
+# the full (5,2) family is in the last block, a child's; the empty one in block 0, this process's
+@pytest.mark.parametrize("members", [10, 0])
+def test_a_worker_failure_reaches_the_caller(monkeypatch, members):
+    from shadowlab import cli
+
+    def prepare(space, params):
+        def check(fam):
+            if len(fam) == members:
+                raise InvariantViolation(f"planted failure on {len(fam)} members")
+            return "ok", None
+
+        return check
+
+    # forked workers inherit the planted check
+    monkeypatch.setitem(claims._PREPARE, "shifted-structure", prepare)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    with pytest.raises(InvariantViolation, match="planted failure"):
+        verify("shifted-structure", "all-families:n=5,k=2", jobs=2)
+    assert multiprocessing.active_children() == []
+    argv = ["verify", "--claim", "shifted-structure", "--space", "all-families:n=5,k=2", "--jobs", "2"]
+    assert cli.main(argv) == 70
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_named_by_its_exit_code(monkeypatch):
+    # the full (5,2) family is in the second block, which a child checks
+    def prepare(space, params):
+        return lambda fam: verifier.os._exit(3) if len(fam) == 10 else ("ok", None)
+
+    monkeypatch.setitem(claims._PREPARE, "shifted-structure", prepare)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        verify("shifted-structure", "all-families:n=5,k=2", jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_shadow_kernel_matches_generic_scan():
