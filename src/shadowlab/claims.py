@@ -16,10 +16,14 @@ A prepared check may carry a ``mask_filter`` on the level masks of
 all-families and of a uniform random-sample that rejects only instances
 the check itself would skip (not shifted, or not pairwise intersecting).
 A sample tries it on each mask as a predicate; all-families takes only the
-masks its ``masks(lo, hi)`` enumerates.  The verifier's kernels read the
-checks' own verdicts (``_shadow_verdict``, ``_graph_verdict``,
-``_correlation_verdict``) and hypothesis (``_stability_hypothesis``).  Both
-walking claims go through ``_walk_certified``.
+masks its ``masks(lo, hi)`` enumerates.  On the same spaces a check may
+also carry ``on_mask``, its own verdict computed from the level mask: the
+verifier then hands it the masks and builds a Family only for an instance
+it records.  The compression check is the one that has it.  The
+verifier's kernels read the checks' own verdicts (``_shadow_verdict``,
+``_graph_verdict``, ``_correlation_verdict``) and hypothesis
+(``_stability_hypothesis``).  Both walking claims go through
+``_walk_certified``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .binomials import inv_gbinom, kk_bound
 from .constructions import a2_family, l_family
 from .diversity import diversity, influence_profile, is_up_closed, kk_diversity, s_diversity
 from .families import (
+    MAX_GROUND,
     Family,
     InvariantViolation,
     complement_family,
@@ -47,9 +52,9 @@ from .families import (
     trace,
 )
 from .orders import level, lex_segment
-from .shifting import _colex_walk, _cross_lex_walk, is_shifted, shift_ij
-from .spaces import InstanceSpace, _axis_values, _intersecting_filter, _shifted_filter
-from .spaces import _with_mask_filter
+from .shifting import _colex_walk, _cross_lex_walk, _level_walk, is_shifted, shift_ij
+from .spaces import InstanceSpace, _axis_values, _intersecting_filter, _mask_level
+from .spaces import _shifted_filter, _with_mask_filter
 
 
 @dataclass(frozen=True)
@@ -289,13 +294,19 @@ def _correlation_verdict(inter: int, s1: int, s2: int, total: int) -> tuple[str,
 def _prep_compression_monotone(space, params):
     """Each family's colex walk (`shifting._colex_walk`, which
     `compress_to_colex` drains) through `_walk_certified`, with one
-    certified set per (n, k) level for one `verify` call in each worker."""
+    certified set per (n, k) level for one `verify` call in each worker.
+    Where the space streams level masks the check's `on_mask` walks from
+    the mask itself (`shifting._level_walk`) and shares the level's set."""
     certified: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
 
     @_uniform
     def check(fam):
         return _walk_certified(_colex_walk(fam), certified[fam.n, fam.k])
 
+    nk = _mask_level(space)
+    if nk is not None and nk[1] <= nk[0] <= MAX_GROUND:  # else no Family holds the level
+        lvl, seen = level(*nk), certified[nk]
+        check.on_mask = lambda mask: _walk_certified(_level_walk(lvl, mask), seen)
     return check
 
 

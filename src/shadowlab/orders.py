@@ -100,7 +100,7 @@ class Level:
     """
 
     def __init__(self, n: int, k: int):
-        self.n = n
+        self.n, self.k = n, k
         self.words = words = level_words(n, k)
         below = {w: i for i, w in enumerate(level_words(n, k - 1))}
         self.index = index = {w: i for i, w in enumerate(words)}

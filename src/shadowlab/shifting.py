@@ -8,13 +8,18 @@ Every compression produces a replayable trace.
 One step rule serves every shift on a Family: `_daykin_words` makes the
 U<-V step and returns the (old, new) word pairs it moved.  Every
 Family-level shift is that step, and the element-sum certificate of
-`shift_to_shifted` reads its pairs.  The colex walk `_colex_walk` carries no
-Family: its state is a level-index mask, and each step reads the step
+`shift_to_shifted` reads its pairs.  The colex walk `_level_walk` starts
+from a level-index mask and carries no Family: each step reads the step
 tables that `orders.Level` owns, the words the step moves grouped by how
 far their colex index moves, so that the step, its colex-rank change and
-the violation search are int operations on the mask.  It and the paired lex
-walk `_cross_lex_walk` are step generators that key each state by an int
-and raise InvariantViolation where a certificate fails.
+the violation search are int operations on the mask.  `_colex_walk` is its
+entry from a Family; the compression claim enters it straight from the
+mask a numbered space streams, so a scan builds a Family only for an
+instance it records.  The walk yields each step as a plain tuple, which
+compares equal to its `ShiftStep`, and only `compress_to_colex` makes
+ShiftSteps of them.  It and the paired lex walk `_cross_lex_walk` are step
+generators that key each state by an int and raise InvariantViolation
+where a certificate fails.
 """
 
 from __future__ import annotations
@@ -263,15 +268,26 @@ def _mask_violation(lvl: Level, mask: int) -> tuple[int, int] | None:
 
 
 def _colex_walk(fam: Family):
-    """Colex compression of `fam`, one state at a time: the one step loop
-    behind `compress_to_colex` and the compression claim's check.
+    """`_level_walk` from the level-index mask of `fam`: the Family entry to
+    the one step loop behind `compress_to_colex` and the compression claim."""
+    if fam.k is None:
+        raise ValueError("colex compression needs a uniform family")
+    lvl = level(fam.n, fam.k)
+    return _level_walk(lvl, lvl.mask(fam.members))
+
+
+def _level_walk(lvl: Level, mask: int):
+    """Colex compression of the family with level-index mask `mask` over the
+    level `lvl`, one state at a time; it builds no Family.
 
     A state is its level-index mask, bit i set when the i-th word of the
     colex-ordered level is a member.  The walk yields (mask, None) for the
     input before it builds anything else, then (mask, step) after each
-    certified step; a caller may stop at any yield.  A step that fails a
-    certificate raises InvariantViolation, and so does a fixed point whose
-    mask is not the colex segment of the family's size, its |F| lowest bits.
+    certified step, the step as the plain tuple ("daykin", 0, 0, u, v,
+    moved), which compares equal to its `ShiftStep`; a caller may stop at
+    any yield.  A step that fails a certificate raises InvariantViolation,
+    and so does a fixed point whose mask is not the colex segment of the
+    family's size, its |F| lowest bits.
 
     Between steps the walk carries only the mask and one count per
     (k-1)-set of how many members contain it, with the number of nonzero
@@ -288,16 +304,15 @@ def _colex_walk(fam: Family):
     - rank: the colex indices of the images minus those of the moved
       members must sum below 0, so the colex-rank sum strictly drops.
     """
-    if fam.k is None:
-        raise ValueError("colex compression needs a uniform family")
-    lvl = level(fam.n, fam.k)
-    index, shadows = lvl.index, lvl.shadows
-    mask = lvl.mask(fam.members)
     yield mask, None
-    size = len(fam)
-    counts = [0] * len(level_words(fam.n, fam.k - 1))
-    for w in fam.members:
-        for s in shadows[index[w]]:
+    shadows = lvl.shadows
+    size = mask.bit_count()
+    counts = [0] * len(level_words(lvl.n, lvl.k - 1))
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for s in shadows[low.bit_length() - 1]:
             counts[s] += 1
     shadow_size = len(counts) - counts.count(0)
     while (hit := _mask_violation(lvl, mask)) is not None:
@@ -331,7 +346,7 @@ def _colex_walk(fam: Family):
         if delta >= 0:
             raise InvariantViolation("colex-rank potential did not drop")
         shadow_size = grown
-        yield mask, ShiftStep("daykin", u=u, v=v, moved=images.bit_count())
+        yield mask, ("daykin", 0, 0, u, v, images.bit_count())
     if mask != (1 << size) - 1:
         raise InvariantViolation("compression fixed point is not the colex segment")
 
@@ -363,11 +378,11 @@ def compress_to_colex(fam: Family) -> tuple[Family, ShiftTrace]:
 
     The steps and their certificates (size, shadow not grown, colex-rank
     drop, fixed point equal to the segment) are those of `_colex_walk`,
-    drained here into the trace.  The result is the one Family the
-    compression builds, the first |F| words of the level, and the input
-    itself when no step moved.
+    drained here into the trace, each step tuple made a `ShiftStep`.  The
+    result is the one Family the compression builds, the first |F| words
+    of the level, and the input itself when no step moved.
     """
-    steps = tuple(step for _, step in _colex_walk(fam) if step is not None)
+    steps = tuple(ShiftStep._make(step) for _, step in _colex_walk(fam) if step is not None)
     if not steps:
         return fam, ShiftTrace()
     return Family(fam.n, level(fam.n, fam.k).words[:len(fam)], k=fam.k), ShiftTrace(steps)

@@ -10,12 +10,15 @@ streamed, a pair checked, a node of the stability walk) until the tick
 that passes the cap raises.
 
 The numbered spaces, all-families and random-sample, build instance i from
-i alone, so a scan can check any index range of them by itself.  On their
-level masks a ``mask_filter`` (shifted, or pairwise intersecting) can
-reject an instance before its Family is built.  A filter is both a
-predicate, which a sample tries on each drawn mask, and an enumerator of
-the masks it keeps in an index range, which all-families walks instead of
-trying every mask of the range.
+i alone, so a scan can check any index range of them by itself.
+`_numbered_masks` streams the masks of a range, and `_iter_numbered` maps
+`_mask_family` over them.  On their level masks a ``mask_filter``
+(shifted, or pairwise intersecting) can reject an instance before its
+Family is built, and a check with a mask form (the compression check) is
+handed the masks themselves: the scan then builds a Family only for an
+instance it records.  A filter is both a predicate, which a sample tries
+on each drawn mask, and an enumerator of the masks it keeps in an index
+range, which all-families walks instead of trying every mask of the range.
 
 That enumerator, `_ClosureFilter.masks`, is the one closure walk: the
 shifted families are the kept masks of the shifted filter, the up-sets those
@@ -266,29 +269,39 @@ NUMBERED_KINDS = ("all-families", "random-sample")
 
 
 def _iter_numbered(space: InstanceSpace, lo: int, hi: int, keep=None):
-    """Instances lo..hi-1 of a numbered space, each built from its index:
-    mask i of the k-level, or the mask sample i draws over its k-level or,
-    without k, over all of 2^[n].
+    """Instances lo..hi-1 of a numbered space: `_mask_family` over the
+    masks `_numbered_masks` streams, the words of the k-level or, without
+    k, of all of 2^[n]."""
+    n, k = space.get("n"), space.get("k")
+    words = None
+    for mask in _numbered_masks(space, lo, hi, keep):
+        if words is None:
+            words = range(1 << n) if k is None else level_words(n, k)
+        yield _mask_family(n, k, words, mask)
 
-    With `keep`, a level-mask filter, only the instances it keeps are built
-    and yielded: all-families enumerates them by `keep.masks`, and a sample
-    tries each drawn mask with the predicate.  An empty range builds nothing."""
+
+def _numbered_masks(space: InstanceSpace, lo: int, hi: int, keep=None):
+    """The masks of instances lo..hi-1 of a numbered space, each computed
+    from its index: mask i of the k-level, or the mask sample i draws over
+    its k-level or, without k, over all of 2^[n].
+
+    With `keep`, a level-mask filter, only the masks it keeps are yielded:
+    all-families enumerates them by `keep.masks`, and a sample tries each
+    drawn mask with the predicate.  An empty range builds nothing."""
     if lo >= hi:
         return
     n, k = space.get("n"), space.get("k")
     if space.kind == "all-families":
-        words = level_words(n, k)
         masks = range(lo, hi) if keep is None else keep.masks(lo, hi)
     else:
         if k is None and n > 16:
             raise ValueError("non-uniform random sampling limited to n <= 16")
-        words = range(1 << n) if k is None else level_words(n, k)
+        width = 1 << n if k is None else len(level_words(n, k))
         seed = space.get("seed", 0) * 1_000_003
-        masks = (random.Random(seed + idx).getrandbits(len(words)) for idx in range(lo, hi))
+        masks = (random.Random(seed + idx).getrandbits(width) for idx in range(lo, hi))
         if keep is not None:
             masks = filter(keep, masks)
-    for mask in masks:
-        yield _mask_family(n, k, words, mask)
+    yield from masks
 
 
 def _mask_family(n: int, k: int | None, words, mask: int) -> Family:
@@ -416,11 +429,19 @@ def _intersecting_filter(n: int, k: int):
     )
 
 
+def _mask_level(space: InstanceSpace) -> tuple[int, int] | None:
+    """(n, k) when the space streams masks of the k-level of [n]: it is
+    all-families or a non-empty uniform random-sample; else None."""
+    if space.kind in NUMBERED_KINDS and space.get("k") is not None and space_size(space):
+        return space.get("n"), space.get("k")
+    return None
+
+
 def _with_mask_filter(check, space: InstanceSpace, make):
     """The check, carrying make(n, k) as its mask_filter when the space
-    streams level masks: all-families or a non-empty uniform random-sample."""
-    if space.kind in NUMBERED_KINDS and space.get("k") is not None and space_size(space):
-        check.mask_filter = make(space.get("n"), space.get("k"))
+    streams masks of the k-level of [n] (`_mask_level`)."""
+    if (nk := _mask_level(space)) is not None:
+        check.mask_filter = make(*nk)
     return check
 
 

@@ -15,10 +15,11 @@ keeps at most MAX_RECORDED counterexamples and witnesses and serializes
 them through ``_instance_payload``.  With jobs >= 2 the scan splits the
 numbered spaces, all-families and random-sample, into index ranges: the
 first checked here, each other by a child process that prepares its own
-check and builds only its own instances; the reduction merges the
-counterexample and witness lists in index order under the same cut, so
-runs are reproducible regardless of the worker count.  Kernels and every
-other space run in one process and tick the meter as they work.  A kernel
+check and builds only its own instances (a check with a mask form gets
+the masks, and only the instances recorded are built); the reduction
+merges the counterexample and witness lists in index order under the same
+cut, so runs are reproducible regardless of the worker count.  Kernels
+and every other space run in one process and tick the meter as they work.  A kernel
 reads its claim's verdict from ``claims`` when it runs, so it holds no
 bound of its own, and its level's tables (shadows, level-index masks, the
 ``meets`` masks) from ``orders.level``, so it holds no cache of its own.
@@ -46,6 +47,7 @@ from .spaces import (
     _iter_numbered,
     _label,
     _mask_family,
+    _numbered_masks,
     _parse_label,
     iter_space,
     space_size,
@@ -593,29 +595,47 @@ def _scan(spec: ClaimSpec, check, space, params, jobs, meter) -> dict:
     return merged
 
 
-def _check_stream(check, stream) -> dict:
-    """Tally the check's verdicts over a stream of instances."""
+def _check_stream(check, stream, build=None) -> dict:
+    """Tally the check's verdicts over a stream of instances.  With `build`
+    the stream holds keys, and build(key) makes the instance only when
+    `_record` keeps it."""
     tallies = _tallies()
     ok = 0
     for inst in stream:
         status, detail = check(inst)
         if status == "ok":
             ok += 1
-        else:
+        elif build is None:
             _record(tallies, status, 1, [(inst, detail)])
+        else:
+            _record(tallies, status, 1, _built(build, inst, detail))
     _record(tallies, "ok", ok)
     return tallies
 
 
+def _built(build, key, detail):
+    """The one recorded pair (build(key), detail), built only when taken."""
+    yield build(key), detail
+
+
 def _check_range(check, space: InstanceSpace, block) -> dict:
     """Check instances lo..hi-1 of a numbered space.  With the check's mask
-    filter only the instances it keeps are built and checked (on
-    all-families the filter enumerates them, so the time goes with the kept
-    instances, not the range); every instance of the range that is not
-    checked is skipped, so the rest are counted in one step."""
+    filter only the instances it keeps are checked (on all-families the
+    filter enumerates them, so the time goes with the kept instances, not
+    the range); every instance of the range that is not checked is skipped,
+    so the rest are counted in one step.  A check with a mask form,
+    `on_mask`, is handed the level masks themselves, and a Family is built
+    only for an instance that `_record` keeps; any other check gets each
+    instance as a Family."""
     lo, hi = block
     keep = getattr(check, "mask_filter", None)
-    tallies = _check_stream(check, _iter_numbered(space, lo, hi, keep))
+    on_mask = getattr(check, "on_mask", None)
+    if on_mask is None:
+        tallies = _check_stream(check, _iter_numbered(space, lo, hi, keep))
+    else:
+        n, k = space.get("n"), space.get("k")
+        tallies = _check_stream(on_mask, _numbered_masks(space, lo, hi, keep),
+                                lambda mask: _mask_family(n, k, level_words(n, k), mask))
     _record(tallies, "skip", (hi - lo) - tallies["skipped"] - tallies["checked"])
     return tallies
 

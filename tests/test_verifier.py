@@ -559,10 +559,9 @@ def test_certified_compression_matches_full_walks_on_samples(level, count, seed)
     assert certified.canonical_json() == uncertified.canonical_json()
 
 
-def test_failed_compression_certifies_no_state(monkeypatch):
-    # a step planted to fail one move before the colex segment, at every
-    # even family size: each family whose walk passes such a state must
-    # fail, not only the first to reach it, while odd sizes certify states
+def _plant_compression_failure(mp):
+    """Plant a violation search whose step fails one move before the colex
+    segment, at every even family size."""
     real = shifting._mask_violation
 
     def planted(steps, mask):
@@ -577,7 +576,13 @@ def test_failed_compression_certifies_no_state(monkeypatch):
                 return 0, 0  # moves nothing, so the colex rank does not drop
         return hit
 
-    monkeypatch.setattr(shifting, "_mask_violation", planted)
+    mp.setattr(shifting, "_mask_violation", planted)
+
+
+def test_failed_compression_certifies_no_state(monkeypatch):
+    # each family whose walk passes a planted failing state must fail, not
+    # only the first to reach it, while odd sizes certify states
+    _plant_compression_failure(monkeypatch)
     certified, uncertified = _compression_reports("all-families:n=5,k=2")
     assert 1 < certified.violations < certified.checked
     assert certified.canonical_json() == uncertified.canonical_json()
@@ -598,6 +603,74 @@ def test_compression_certified_states_live_for_one_verify(monkeypatch):
         calls.clear()
         verify("compression-shadow-monotone", "all-families:n=5,k=2")
         assert len(calls) == 1 << 10
+
+
+def _family_form_only(mp):
+    """Prepare the compression check without its mask form, so that a scan
+    of a numbered space streams Families through the check itself."""
+    prepare = claims._PREPARE["compression-shadow-monotone"]
+
+    def family_form(space, params):
+        check = prepare(space, params)
+        del check.on_mask
+        return check
+
+    mp.setitem(claims._PREPARE, "compression-shadow-monotone", family_form)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("space", [
+    "all-families:n=5,k=2",
+    "all-families:n=6,k=2",
+    "random-sample:count=300,k=3,n=7,seed=29",
+    "random-sample:count=60,k=4,n=8,seed=29",
+])
+def test_compression_mask_form_matches_family_form(monkeypatch, space, planted):
+    # a planted failure also compares the counterexamples, which the mask
+    # form builds from masks
+    if planted:
+        _plant_compression_failure(monkeypatch)
+    for jobs in (1, 2):
+        masks = verify("compression-shadow-monotone", space, jobs=jobs)
+        with pytest.MonkeyPatch.context() as mp:
+            _family_form_only(mp)
+            fams = verify("compression-shadow-monotone", space, jobs=jobs)
+        assert masks.checked == fams.checked == space_size(InstanceSpace.parse(space))
+        assert (masks.violations > 0) == planted
+        assert masks.counterexamples == fams.counterexamples
+        assert masks.canonical_json() == fams.canonical_json()
+
+
+def test_compression_refuses_a_level_no_family_holds():
+    # the mask form is left off, so the scan's Families refuse the level
+    for space, message in (("all-families:n=3,k=5", "k=5 outside 0..3"),
+                           ("random-sample:count=3,k=69,n=70", "ground-set size 70")):
+        with pytest.raises(ValueError, match=message):
+            verify("compression-shadow-monotone", space)
+
+
+def test_numbered_compression_scan_builds_no_family(monkeypatch):
+    built = []
+    init = Family.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Family, "__init__", counting_init)
+    numbered = ("random-sample:count=200,k=3,n=7,seed=5", "all-families:n=5,k=2")
+    for space in numbered:
+        built.clear()
+        rep = verify("compression-shadow-monotone", space, jobs=1)
+        assert rep.checked == space_size(InstanceSpace.parse(space))
+        assert built == []
+    # with failures, one Family for each recorded counterexample
+    _plant_compression_failure(monkeypatch)
+    for space in numbered:
+        built.clear()
+        rep = verify("compression-shadow-monotone", space, jobs=1)
+        assert rep.violations > 0
+        assert len(built) == len(rep.counterexamples)
 
 
 def test_shadow_stability_claim_on_grid():
